@@ -92,7 +92,7 @@ def bounds(graph_path: str, tol: float | None) -> None:
 @main.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--mode", type=click.Choice(["tau", "tauprime"]), default="tau", show_default=True)
-@click.option("--budget", type=int, default=5_000_000, show_default=True,
+@click.option("--budget", type=click.IntRange(min=0), default=5_000_000, show_default=True,
               help="Node-expansion budget for the search.")
 def exact(graph_path: str, mode: str, budget: int) -> None:
     """Solve the bipartition number (or its star-free variant) exactly."""
@@ -122,9 +122,9 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
              base: float, w_csv: str | None, witness_file: str | None) -> None:
     """Coverage values and certificates for a family of left sides."""
     g = _load_graph(graph_path)
-    fam = family_from_json(_load_json(family_path))
-    universe = list(fam.universe)
     try:
+        fam = family_from_json(_load_json(family_path))
+        universe = list(fam.universe)
         if op == "f":
             if mode == "exact":
                 value, trace = max_coverage_exact(g, universe, fam)
@@ -166,6 +166,8 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
             guards = {int(v): list(gs) for v, gs in data.get("guards", {}).items()}
             value = shielded_edge_count(g, universe, order, guards)
             payload = {"op": "h", "value": value, "w": order}
+    except KeyError as exc:
+        raise click.UsageError(f"input JSON lacks the field {exc}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(json.dumps(payload, indent=2))

@@ -26,7 +26,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Graph, VertexSet, common_neighborhood, iter_bits, mask_of
+from .graphs import (
+    Graph,
+    VertexSet,
+    _common_mask,
+    _submasks,
+    common_neighborhood,
+    induced_subgraph,
+    iter_bits,
+    mask_of,
+)
 
 __all__ = [
     "CoverageFamily",
@@ -104,16 +113,11 @@ class CoverageTrace:
 
 def covered_edges(g: Graph, left: VertexSet | Iterable[int]) -> list[tuple[int, int]]:
     """Edges with one endpoint in the left side and the other adjacent to all of it."""
-    left_mask = left.mask if isinstance(left, VertexSet) else mask_of(left)
+    left_mask = mask_of(left)
     if not left_mask:
         raise ValueError("left side must be nonempty")
     cn = common_neighborhood(g, VertexSet(left_mask, g.n)).mask
-    out = []
-    for x in iter_bits(left_mask):
-        for y in iter_bits(cn):
-            out.append((x, y) if x < y else (y, x))
-    out.sort()
-    return out
+    return list(_cross_edges(range(g.n), left_mask, cn))
 
 
 _MAX_EXACT_SETS = 8
@@ -122,37 +126,51 @@ _MAX_EXACT_UNIVERSE = 12
 
 def _local_setup(g: Graph, universe, fam: CoverageFamily):
     """Relabel the universe to 0..u-1 and restrict adjacency to it."""
-    umask = universe.mask if isinstance(universe, VertexSet) else mask_of(universe)
+    umask = mask_of(universe)
     if umask >> g.n:
         raise ValueError("universe leaves the graph")
-    verts = tuple(iter_bits(umask))
+    local, verts = induced_subgraph(g, VertexSet(umask, g.n))
     index = {v: i for i, v in enumerate(verts)}
     if not set(fam.universe) <= set(verts):
         raise ValueError("family universe is not contained in the given universe")
-    rows = []
-    for v in verts:
-        row = 0
-        for u in iter_bits(g.adj[v] & umask):
-            row |= 1 << index[u]
-        rows.append(row)
     set_masks = tuple(mask_of(index[v] for v in s) for s in fam.sets)
-    return verts, index, tuple(rows), set_masks
+    return verts, index, local.adj, set_masks
 
 
-def _cn_local(rows: Sequence[int], full: int, a_mask: int) -> int:
-    cn = full
-    for v in iter_bits(a_mask):
-        cn &= rows[v]
-    return cn & ~a_mask
+def _strip(rows: Sequence[int], a_mask: int, l_mask: int) -> tuple[int, ...]:
+    """The rows left once every cross edge between ``a_mask`` and ``l_mask`` is taken."""
+    out = list(rows)
+    for x in iter_bits(a_mask):
+        out[x] &= ~l_mask
+    for y in iter_bits(l_mask):
+        out[y] &= ~a_mask
+    return tuple(out)
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _cross_edges(verts: Sequence[int], a_mask: int, l_mask: int) -> tuple[tuple[int, int], ...]:
+    """Sorted cross edges between two local masks, in the labels ``verts`` gives."""
+    out = []
+    for x in iter_bits(a_mask):
+        for y in iter_bits(l_mask):
+            gx, gy = verts[x], verts[y]
+            out.append((gx, gy) if gx < gy else (gy, gx))
+    return tuple(sorted(out))
+
+
+def _maximal_play(
+    rows: Sequence[int], set_masks: Sequence[int], order: Iterable[int]
+) -> tuple[int, list[int]]:
+    """Play the sets in ``order``, each taking its whole current common
+    neighborhood; returns (edges covered, right side of each step)."""
+    full = (1 << len(rows)) - 1
+    total = 0
+    sides = []
+    for j in order:
+        cn = _common_mask(rows, full, set_masks[j])
+        sides.append(cn)
+        total += set_masks[j].bit_count() * cn.bit_count()
+        rows = _strip(rows, set_masks[j], cn)
+    return total, sides
 
 
 def max_coverage_exact(
@@ -191,19 +209,19 @@ def max_coverage_exact(
 
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def rel_mask(remaining: int) -> int:
-        out = 0
+    def moves(remaining: int, rows: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+        """Every (set, sets left after it, right side, gain) playable next."""
         for j in iter_bits(remaining):
-            out |= influence[j]
-        return out
-
-    def strip(rows: tuple[int, ...], a_mask: int, l_mask: int) -> tuple[int, ...]:
-        out = list(rows)
-        for x in iter_bits(a_mask):
-            out[x] &= ~l_mask
-        for y in iter_bits(l_mask):
-            out[y] &= ~a_mask
-        return tuple(out)
+            rest = remaining ^ (1 << j)
+            relevant = 0
+            for i in iter_bits(rest):
+                relevant |= influence[i]
+            cn = _common_mask(rows, full, set_masks[j])
+            undecided = cn & relevant
+            base = cn & ~undecided
+            for sub in _submasks(undecided):
+                l_mask = base | sub
+                yield j, rest, l_mask, sizes[j] * l_mask.bit_count()
 
     def solve(remaining: int, rows: tuple[int, ...]) -> int:
         if not remaining:
@@ -213,17 +231,10 @@ def max_coverage_exact(
         if hit is not None:
             return hit
         best = 0
-        for j in iter_bits(remaining):
-            rest = remaining ^ (1 << j)
-            cn = _cn_local(rows, full, set_masks[j])
-            undecided = cn & rel_mask(rest)
-            base = cn & ~undecided
-            for sub in _submasks(undecided):
-                l_mask = base | sub
-                gain = sizes[j] * l_mask.bit_count()
-                value = gain + solve(rest, strip(rows, set_masks[j], l_mask))
-                if value > best:
-                    best = value
+        for j, rest, l_mask, gain in moves(remaining, rows):
+            value = gain + solve(rest, _strip(rows, set_masks[j], l_mask))
+            if value > best:
+                best = value
         memo[key] = best
         return best
 
@@ -237,39 +248,22 @@ def max_coverage_exact(
     rows = rows0
     need = total
     while remaining:
-        found = False
-        for j in iter_bits(remaining):
-            rest = remaining ^ (1 << j)
-            cn = _cn_local(rows, full, set_masks[j])
-            undecided = cn & rel_mask(rest)
-            base = cn & ~undecided
-            for sub in _submasks(undecided):
-                l_mask = base | sub
-                gain = sizes[j] * l_mask.bit_count()
-                if gain + solve(rest, strip(rows, set_masks[j], l_mask)) == need:
-                    order.append(j)
-                    choices.append(tuple(verts[i] for i in iter_bits(l_mask)))
-                    step_edges = []
-                    for x in iter_bits(set_masks[j]):
-                        for y in iter_bits(l_mask):
-                            gx, gy = verts[x], verts[y]
-                            step_edges.append((gx, gy) if gx < gy else (gy, gx))
-                    covered.append(tuple(sorted(step_edges)))
-                    rows = strip(rows, set_masks[j], l_mask)
-                    remaining = rest
-                    need -= gain
-                    found = True
-                    break
-            if found:
+        for j, rest, l_mask, gain in moves(remaining, rows):
+            after = _strip(rows, set_masks[j], l_mask)
+            if gain + solve(rest, after) == need:
                 break
-        if not found:
+        else:
             raise AssertionError("trace reconstruction lost the optimum")
+        order.append(j)
+        choices.append(tuple(verts[i] for i in iter_bits(l_mask)))
+        covered.append(_cross_edges(verts, set_masks[j], l_mask))
+        rows, remaining, need = after, rest, need - gain
 
     trace = CoverageTrace(tuple(order), tuple(choices), tuple(covered), total)
     # Sanity ceiling: no play can beat the sum of single-set coverages in G[U].
     ceiling = 0
     for m in set_masks:
-        ceiling += m.bit_count() * _cn_local(rows0, full, m).bit_count()
+        ceiling += m.bit_count() * _common_mask(rows0, full, m).bit_count()
     if total > ceiling:
         raise AssertionError("coverage exceeded the single-set ceiling")
     replay_trace(g, universe, fam, trace)
@@ -284,31 +278,16 @@ def max_coverage_greedy(
     A lower bound for the exact maximum, available at any size.
     """
     verts, index, rows, set_masks = _local_setup(g, universe, fam)
-    nloc = len(verts)
-    full = (1 << nloc) - 1
     rng = random.Random(seed)
     order = list(range(len(set_masks)))
     rng.shuffle(order)
-    rows = list(rows)
-    choices: list[tuple[int, ...]] = []
-    covered: list[tuple[tuple[int, int], ...]] = []
-    total = 0
-    for j in order:
-        a_mask = set_masks[j]
-        cn = _cn_local(rows, full, a_mask)
-        choices.append(tuple(verts[i] for i in iter_bits(cn)))
-        step_edges = []
-        for x in iter_bits(a_mask):
-            for y in iter_bits(cn):
-                gx, gy = verts[x], verts[y]
-                step_edges.append((gx, gy) if gx < gy else (gy, gx))
-        covered.append(tuple(sorted(step_edges)))
-        total += a_mask.bit_count() * cn.bit_count()
-        for x in iter_bits(a_mask):
-            rows[x] &= ~cn
-        for y in iter_bits(cn):
-            rows[y] &= ~a_mask
-    trace = CoverageTrace(tuple(order), tuple(choices), tuple(covered), total)
+    total, sides = _maximal_play(rows, set_masks, order)
+    trace = CoverageTrace(
+        tuple(order),
+        tuple(tuple(verts[i] for i in iter_bits(cn)) for cn in sides),
+        tuple(_cross_edges(verts, set_masks[j], cn) for j, cn in zip(order, sides)),
+        total,
+    )
     replay_trace(g, universe, fam, trace)
     return total, trace
 
@@ -329,12 +308,11 @@ def replay_trace(
         raise ValueError("trace order is not a permutation of the family")
     if len(trace.choices) != len(trace.order) or len(trace.covered) != len(trace.order):
         raise ValueError("trace length mismatch")
-    rows = list(rows)
     seen: set[tuple[int, int]] = set()
     total = 0
     for j, choice, step in zip(trace.order, trace.choices, trace.covered):
         a_mask = set_masks[j]
-        cn = _cn_local(rows, full, a_mask)
+        cn = _common_mask(rows, full, a_mask)
         l_mask = 0
         for v in choice:
             if v not in index:
@@ -342,22 +320,15 @@ def replay_trace(
             l_mask |= 1 << index[v]
         if l_mask & ~cn:
             raise ValueError("right side leaves the current common neighborhood")
-        expected = []
-        for x in iter_bits(a_mask):
-            for y in iter_bits(l_mask):
-                gx, gy = verts[x], verts[y]
-                expected.append((gx, gy) if gx < gy else (gy, gx))
-        if sorted(step) != sorted(expected):
+        expected = _cross_edges(verts, a_mask, l_mask)
+        if sorted(step) != list(expected):
             raise ValueError("covered edges do not match the step's cross edges")
         for e in step:
             if e in seen:
                 raise ValueError(f"edge {e} covered twice")
             seen.add(e)
         total += len(expected)
-        for x in iter_bits(a_mask):
-            rows[x] &= ~l_mask
-        for y in iter_bits(l_mask):
-            rows[y] &= ~a_mask
+        rows = _strip(rows, a_mask, l_mask)
     if total != trace.total:
         raise ValueError(f"trace total {trace.total} != replayed {total}")
     return total
@@ -413,8 +384,8 @@ def blocked_edge_count(
     partner edges rule both out.  ``t`` is accepted for interface symmetry
     and only validated against s.
     """
-    s_mask = s.mask if isinstance(s, VertexSet) else mask_of(s)
-    t_mask = t.mask if isinstance(t, VertexSet) else mask_of(t)
+    s_mask = mask_of(s)
+    t_mask = mask_of(t)
     if s_mask & t_mask:
         raise ValueError("s and t must be disjoint")
     if (s_mask | t_mask | mask_of(fam.universe)) >> g.n:
@@ -456,10 +427,10 @@ def shielded_edge_count(
     pairwise disjoint.  An edge {x, y} counts when x has no edge into
     guards[y] and y has no edge into guards[x].
     """
-    u_mask = universe.mask if isinstance(universe, VertexSet) else mask_of(universe)
+    u_mask = mask_of(universe)
     if u_mask >> g.n:
         raise ValueError("universe leaves the graph")
-    w_mask = w.mask if isinstance(w, VertexSet) else mask_of(w)
+    w_mask = mask_of(w)
     if w_mask & ~u_mask:
         raise ValueError("w must sit inside the universe")
     guard_masks: dict[int, int] = {}
@@ -590,7 +561,7 @@ def peel_witness(
     u = len(fam.universe)
     if u < 2:
         raise ValueError("universe too small to peel")
-    w_mask = w.mask if isinstance(w, VertexSet) else mask_of(w)
+    w_mask = mask_of(w)
     universe_mask = mask_of(fam.universe)
     if w_mask & ~universe_mask:
         raise ValueError("w must sit inside the family universe")
@@ -686,7 +657,7 @@ def uncovered_lower_bound(
     the small tier, so an edge counted by either certificate has no covering
     left side at all outside the cases the certificate itself excludes.
     """
-    u_mask = universe.mask if isinstance(universe, VertexSet) else mask_of(universe)
+    u_mask = mask_of(universe)
     if mask_of(fam.universe) & ~u_mask:
         raise ValueError("family universe leaves the given universe")
     if not fam.sets:

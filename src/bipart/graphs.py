@@ -3,7 +3,9 @@
 Vertices are 0..n-1 and every adjacency row is a Python int used as a
 bitset, which keeps the neighborhood intersections at the heart of every
 search in this package cheap up to a few thousand vertices.  Graphs are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  This module
+also holds the private mask helpers (submasks, common neighborhoods, greedy
+independent passes) that the other modules share.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from ``random.Random(seed)`` (the Mersenne
@@ -51,8 +53,10 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
+def mask_of(vertices: VertexSet | Iterable[int]) -> int:
+    """Pack a VertexSet or an iterable of vertex indices into a bitmask."""
+    if isinstance(vertices, VertexSet):
+        return vertices.mask
     m = 0
     for v in vertices:
         m |= 1 << v
@@ -99,15 +103,38 @@ class VertexSet:
         return tuple(iter_bits(self.mask))
 
 
-def _coerce_mask(vertices: "VertexSet | Iterable[int]", n: int) -> int:
-    """Accept a VertexSet or any iterable of vertex ids; return a validated mask."""
-    if isinstance(vertices, VertexSet):
-        mask = vertices.mask
-    else:
-        mask = mask_of(vertices)
-    if mask < 0 or mask >> n:
+def _mask_in(vertices: VertexSet | Iterable[int], n: int) -> int:
+    """``mask_of(vertices)``, refusing vertices outside 0..n-1."""
+    mask = mask_of(vertices)
+    if mask >> n:
         raise ValueError(f"vertex outside range 0..{n - 1}")
     return mask
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """All submasks of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _common_mask(rows: Sequence[int], pool: int, mask: int) -> int:
+    """Vertices of ``pool`` outside ``mask`` adjacent to every member of it."""
+    for v in iter_bits(mask):
+        pool &= rows[v]
+    return pool & ~mask
+
+
+def _greedy_independent(rows: Sequence[int], order: Iterable[int], start: int = 0) -> int:
+    """Extend the independent mask ``start`` by each vertex of ``order`` that fits."""
+    s = start
+    for v in order:
+        if not rows[v] & s:
+            s |= 1 << v
+    return s
 
 
 @dataclass(frozen=True)
@@ -250,7 +277,7 @@ def induced_subgraph(
 
     Returns the relabeled graph together with the mapping new -> old label.
     """
-    mask = _coerce_mask(vertices, g.n)
+    mask = _mask_in(vertices, g.n)
     old = tuple(iter_bits(mask))
     index = {v: i for i, v in enumerate(old)}
     rows = []
@@ -264,13 +291,10 @@ def induced_subgraph(
 
 def common_neighborhood(g: Graph, vertices: VertexSet | Iterable[int]) -> VertexSet:
     """Vertices outside the given set adjacent to every one of its members."""
-    mask = _coerce_mask(vertices, g.n)
+    mask = _mask_in(vertices, g.n)
     if mask == 0:
         raise ValueError("common neighborhood of the empty set is not defined")
-    cn = g.vertex_mask
-    for v in iter_bits(mask):
-        cn &= g.adj[v]
-    return VertexSet(cn & ~mask, g.n)
+    return VertexSet(_common_mask(g.adj, g.vertex_mask, mask), g.n)
 
 
 @dataclass(frozen=True)
@@ -314,22 +338,21 @@ def _alpha_branch_and_bound(
     """
     best_size, best_mask = initial_best
     nodes = 0
-    exhausted = False
-
-    def dfs(p: int, cur: int, size: int) -> None:
-        nonlocal best_size, best_mask, nodes, exhausted
-        if exhausted:
-            return
+    # Explicit stack of (pool, current set, size), so deep exclude chains
+    # cannot overflow the interpreter stack.  The exclude branch is pushed
+    # first, so each include subtree is finished before its sibling.
+    stack = [(pool, 0, 0)]
+    while stack:
+        p, cur, size = stack.pop()
         nodes += 1
         if nodes > budget:
-            exhausted = True
-            return
+            return best_size, best_mask, False, nodes
         if not p:
             if size > best_size:
                 best_size, best_mask = size, cur
-            return
+            continue
         if size + _clique_cover_bound(adj, p) <= best_size:
-            return
+            continue
         bv, bd = -1, -1
         w = p
         while w:
@@ -339,11 +362,9 @@ def _alpha_branch_and_bound(
             if d > bd:
                 bd, bv = d, v
             w ^= low
-        dfs(p & ~adj[bv] & ~(1 << bv), cur | (1 << bv), size + 1)
-        dfs(p & ~(1 << bv), cur, size)
-
-    dfs(pool, 0, 0)
-    return best_size, best_mask, not exhausted, nodes
+        stack.append((p & ~(1 << bv), cur, size))
+        stack.append((p & ~adj[bv] & ~(1 << bv), cur | (1 << bv), size + 1))
+    return best_size, best_mask, True, nodes
 
 
 def independence_number_exact(g: Graph, budget: int = 2_000_000) -> AlphaResult:
@@ -356,10 +377,7 @@ def independence_number_exact(g: Graph, budget: int = 2_000_000) -> AlphaResult:
     if g.n == 0:
         return AlphaResult(0, VertexSet(0, 0), True, 0)
     # Warm start with a deterministic greedy pass so pruning bites early.
-    warm = 0
-    for v in range(g.n):
-        if not g.adj[v] & warm:
-            warm |= 1 << v
+    warm = _greedy_independent(g.adj, range(g.n))
     size, mask, complete, nodes = _alpha_branch_and_bound(
         g.adj, g.vertex_mask, budget, (warm.bit_count(), warm)
     )
@@ -374,11 +392,7 @@ def independent_set_greedy(g: Graph, seed: int) -> VertexSet:
     rng = random.Random(seed)
     order = list(range(g.n))
     rng.shuffle(order)
-    s = 0
-    for v in order:
-        if not g.adj[v] & s:
-            s |= 1 << v
-    return VertexSet(s, g.n)
+    return VertexSet(_greedy_independent(g.adj, order), g.n)
 
 
 def _beam_with_exact_finish(
@@ -515,9 +529,7 @@ def independent_set_search(
     if not best_mask:  # edgeless or tiny graphs: fall back to plain greedy
         return independent_set_greedy(g, seed)
     # Ensure maximality before returning.
-    for v in range(n):
-        if not (best_mask >> v) & 1 and not adj[v] & best_mask:
-            best_mask |= 1 << v
+    best_mask = _greedy_independent(adj, range(n), best_mask)
     for v in iter_bits(best_mask):
         if adj[v] & best_mask:
             raise AssertionError("search produced a non-independent set")
@@ -526,7 +538,7 @@ def independent_set_search(
 
 def edge_count_within(g: Graph, vertices: VertexSet | Iterable[int]) -> int:
     """e(U): the number of edges of g with both endpoints in the given set."""
-    mask = _coerce_mask(vertices, g.n)
+    mask = _mask_in(vertices, g.n)
     return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
 
 
@@ -539,7 +551,7 @@ def density_deviation(g: Graph, vertices: VertexSet | Iterable[int], p: float) -
     """
     if g.n < 2:
         raise ValueError("deviation statistic needs n >= 2 (ln n must be positive)")
-    mask = _coerce_mask(vertices, g.n)
+    mask = _mask_in(vertices, g.n)
     size = mask.bit_count()
     if size < 1:
         raise ValueError("subset must be nonempty")
@@ -585,11 +597,7 @@ def _balanced_side_exact(g: Graph) -> int:
     while 2 * k <= g.n:
         found = False
         for combo in combinations(range(g.n), k):
-            cn = g.vertex_mask
-            for v in combo:
-                cn &= g.adj[v]
-            cn &= ~mask_of(combo)
-            if cn.bit_count() >= k:
+            if _common_mask(g.adj, g.vertex_mask, mask_of(combo)).bit_count() >= k:
                 found = True
                 break
         if not found:

@@ -21,6 +21,8 @@ from itertools import permutations
 from . import __version__
 from .coverage import (
     CoverageFamily,
+    _local_setup,
+    _maximal_play,
     max_coverage_exact,
     uncovered_lower_bound,
 )
@@ -30,7 +32,6 @@ from .graphs import (
     density_deviation,
     independence_number_exact,
     independent_set_search,
-    iter_bits,
     max_balanced_biclique_side,
     sample_gnp,
 )
@@ -323,39 +324,12 @@ def _min_uncovered_over_maximal_plays(g: Graph, fam: CoverageFamily) -> int:
     A maximal play fixes an order and always takes the full common
     neighborhood; with k sets there are exactly k! of them.
     """
-    verts = fam.universe
-    index = {v: i for i, v in enumerate(verts)}
-    rows0 = []
-    umask = 0
-    for v in verts:
-        umask |= 1 << v
-    for v in verts:
-        row = 0
-        for u in iter_bits(g.adj[v] & umask):
-            row |= 1 << index[u]
-        rows0.append(row)
-    full = (1 << len(verts)) - 1
-    set_masks = [0] * len(fam.sets)
-    for i, s in enumerate(fam.sets):
-        for v in s:
-            set_masks[i] |= 1 << index[v]
-    total_edges = sum(r.bit_count() for r in rows0) // 2
-    best_cover = 0
-    for order in permutations(range(len(set_masks))):
-        rows = list(rows0)
-        covered = 0
-        for j in order:
-            a_mask = set_masks[j]
-            cn = full
-            for v in iter_bits(a_mask):
-                cn &= rows[v]
-            cn &= ~a_mask
-            covered += a_mask.bit_count() * cn.bit_count()
-            for x in iter_bits(a_mask):
-                rows[x] &= ~cn
-            for y in iter_bits(cn):
-                rows[y] &= ~a_mask
-        best_cover = max(best_cover, covered)
+    _, _, rows, set_masks = _local_setup(g, fam.universe, fam)
+    total_edges = sum(r.bit_count() for r in rows) // 2
+    best_cover = max(
+        _maximal_play(rows, set_masks, order)[0]
+        for order in permutations(range(len(set_masks)))
+    )
     return total_edges - best_cover
 
 

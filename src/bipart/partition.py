@@ -15,7 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, VertexSet, independence_number_exact, iter_bits, mask_of
+from .graphs import (
+    Graph,
+    VertexSet,
+    _common_mask,
+    _greedy_independent,
+    _submasks,
+    independence_number_exact,
+    iter_bits,
+    mask_of,
+)
 from .spectral import inertia_from_rows
 
 __all__ = [
@@ -108,27 +117,49 @@ def validate_partition(g: Graph, partition: BicliquePartition) -> list[str]:
     An empty list means the partition is valid.
     """
     issues: list[str] = []
-    seen: dict[tuple[int, int], int] = {}
+    n = g.n
+    claimed = [0] * n  # claimed[x]: neighbors y whose edge {x, y} some part already holds
     for i, part in enumerate(partition.parts):
         for v in part.a | part.b:
-            if not (0 <= v < g.n):
+            if not (0 <= v < n):
                 issues.append(f"vertex-out-of-range: {v} in part {i}")
-        for x in sorted(part.a):
-            for y in sorted(part.b):
-                if not (0 <= x < g.n and 0 <= y < g.n):
-                    continue
+        amask = mask_of(v for v in part.a if 0 <= v < n)
+        bmask = mask_of(v for v in part.b if 0 <= v < n)
+        for x in iter_bits(amask):
+            row = g.adj[x]
+            for y in iter_bits(bmask & ~(row & ~claimed[x])):
                 e = (x, y) if x < y else (y, x)
-                if not g.has_edge(*e):
+                if not (row >> y) & 1:
                     issues.append(f"non-edge: {e} claimed by part {i}")
-                    continue
-                if e in seen:
-                    issues.append(f"duplicate-edge: {e} in parts {seen[e]} and {i}")
                 else:
-                    seen[e] = i
-    for e in g.edges():
-        if e not in seen:
-            issues.append(f"uncovered-edge: {e}")
+                    first = next(j for j, q in enumerate(partition.parts)
+                                 if (x in q.a and y in q.b) or (x in q.b and y in q.a))
+                    issues.append(f"duplicate-edge: {e} in parts {first} and {i}")
+            claimed[x] |= bmask & row
+        for y in iter_bits(bmask):
+            claimed[y] |= amask & g.adj[y]
+    for v in range(n):
+        w = (g.adj[v] & ~claimed[v]) >> (v + 1)
+        for u in iter_bits(w):
+            issues.append(f"uncovered-edge: {(v, v + 1 + u)}")
     return issues
+
+
+def _part(a_mask: int, b_mask: int) -> Biclique:
+    return Biclique(frozenset(iter_bits(a_mask)), frozenset(iter_bits(b_mask)))
+
+
+def _stars_outside(g: Graph, inside: int) -> list[Biclique]:
+    """Stars centered at the vertices outside ``inside``, in ascending order;
+    each takes the center's edges not already held by an earlier star."""
+    parts: list[Biclique] = []
+    used_centers = 0
+    for c in iter_bits(g.vertex_mask & ~inside):
+        leaves = g.adj[c] & ~used_centers
+        used_centers |= 1 << c
+        if leaves:
+            parts.append(_part(1 << c, leaves))
+    return parts
 
 
 def star_decomposition(g: Graph, independent: VertexSet | Iterable[int]) -> BicliquePartition:
@@ -139,20 +170,13 @@ def star_decomposition(g: Graph, independent: VertexSet | Iterable[int]) -> Bicl
     Centers left with no leaves are dropped, so the result has at most
     n - |independent| parts.
     """
-    imask = mask_of(independent) if not isinstance(independent, VertexSet) else independent.mask
+    imask = mask_of(independent)
     if imask >> g.n:
         raise ValueError("independent set contains out-of-range vertices")
     for v in iter_bits(imask):
         if g.adj[v] & imask:
             raise ValueError("the given vertex set is not independent")
-    parts: list[Biclique] = []
-    used_centers = 0
-    for c in iter_bits(g.vertex_mask & ~imask):
-        leaves = g.adj[c] & ~used_centers
-        used_centers |= 1 << c
-        if leaves:
-            parts.append(Biclique(frozenset({c}), frozenset(iter_bits(leaves))))
-    return BicliquePartition(g, tuple(parts))
+    return BicliquePartition(g, tuple(_stars_outside(g, imask)))
 
 
 def is_induced_biclique(g: Graph, part: Biclique) -> bool:
@@ -179,14 +203,7 @@ def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartitio
     """
     if not is_induced_biclique(g, ab):
         raise ValueError("the given part is not an induced complete bipartite subgraph")
-    inside = mask_of(ab.a) | mask_of(ab.b)
-    parts: list[Biclique] = []
-    used_centers = 0
-    for c in iter_bits(g.vertex_mask & ~inside):
-        leaves = g.adj[c] & ~used_centers
-        used_centers |= 1 << c
-        if leaves:
-            parts.append(Biclique(frozenset({c}), frozenset(iter_bits(leaves))))
+    parts = _stars_outside(g, mask_of(ab.a) | mask_of(ab.b))
     parts.append(ab)
     return BicliquePartition(g, tuple(parts))
 
@@ -271,26 +288,12 @@ def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
     edges = list(g.edges())
     best = None
     best_size = 0
-
-    def greedy_independent(mask: int) -> int:
-        out = 0
-        for v in iter_bits(mask):
-            if not adj[v] & out:
-                out |= 1 << v
-        return out
-
     for _ in range(max(1, budget)):
         u, v = rng.choice(edges)
         a_mask, b_mask = 1 << u, 1 << v
         for _ in range(3):
-            cn = g.vertex_mask
-            for x in iter_bits(a_mask):
-                cn &= adj[x]
-            b_mask = greedy_independent(cn & ~a_mask)
-            cn = g.vertex_mask
-            for y in iter_bits(b_mask):
-                cn &= adj[y]
-            a_mask = greedy_independent(cn & ~b_mask)
+            b_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, a_mask)))
+            a_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, b_mask)))
         if a_mask and b_mask:
             size = a_mask.bit_count() + b_mask.bit_count()
             if size > best_size:
@@ -367,10 +370,8 @@ def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePar
                     nonstars.insert(idx, (a_rest, b_rest))
             break
 
-    parts = [Biclique(frozenset({c}), frozenset(iter_bits(leaves))) for c, leaves in stars]
-    parts.extend(
-        Biclique(frozenset(iter_bits(a)), frozenset(iter_bits(b))) for a, b in nonstars
-    )
+    parts = [_part(1 << c, leaves) for c, leaves in stars]
+    parts.extend(_part(a, b) for a, b in nonstars)
     result = BicliquePartition(g, tuple(parts))
     post = validate_partition(g, result)
     if post:
@@ -396,16 +397,6 @@ class SolveResult:
     status: str
     lower_bound: int | float
     nodes: int
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _solve_partition_number(
@@ -500,13 +491,7 @@ def _solve_partition_number(
 
     witness = None
     if best_parts is not None:
-        witness = BicliquePartition(
-            g,
-            tuple(
-                Biclique(frozenset(iter_bits(a)), frozenset(iter_bits(b)))
-                for a, b in best_parts
-            ),
-        )
+        witness = BicliquePartition(g, tuple(_part(a, b) for a, b in best_parts))
     if not exhausted:
         return SolveResult(best_value, witness, EXACT, best_value, nodes)
     return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)

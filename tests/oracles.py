@@ -214,3 +214,33 @@ def beta_brute(g: Graph) -> int:
                 best = size
                 break
     return best
+
+
+def validate_partition_reference(g: Graph, partition) -> list[str]:
+    """Reference partition validator keeping a dict of edge tuples.
+
+    Emits the same diagnostics, in the same order, that
+    ``bipart.partition.validate_partition`` promises.
+    """
+    issues: list[str] = []
+    seen: dict[tuple[int, int], int] = {}
+    for i, part in enumerate(partition.parts):
+        for v in part.a | part.b:
+            if not (0 <= v < g.n):
+                issues.append(f"vertex-out-of-range: {v} in part {i}")
+        for x in sorted(part.a):
+            for y in sorted(part.b):
+                if not (0 <= x < g.n and 0 <= y < g.n):
+                    continue
+                e = (x, y) if x < y else (y, x)
+                if not g.has_edge(*e):
+                    issues.append(f"non-edge: {e} claimed by part {i}")
+                    continue
+                if e in seen:
+                    issues.append(f"duplicate-edge: {e} in parts {seen[e]} and {i}")
+                else:
+                    seen[e] = i
+    for e in g.edges():
+        if e not in seen:
+            issues.append(f"uncovered-edge: {e}")
+    return issues

@@ -60,6 +60,11 @@ class TestExact:
         assert payload["value"] == 3 and payload["status"] == "exact"
         assert len(payload["witness"]["parts"]) == 3
 
+    def test_negative_budget_is_usage_error(self, runner, tmp_path):
+        path = write_graph(tmp_path / "k4.txt", Graph.complete(4))
+        result = runner.invoke(main, ["exact", "--graph", path, "--budget", "-5"])
+        assert result.exit_code == 2
+
     def test_tauprime_infinity(self, runner, tmp_path):
         path = write_graph(tmp_path / "k4.txt", Graph.complete(4))
         result = runner.invoke(main, ["exact", "--graph", path, "--mode", "tauprime"])
@@ -121,6 +126,30 @@ class TestCoverage:
         )
         assert result.exit_code == 1
         assert json.loads(result.output)["failed"]
+
+    def test_family_without_sets_is_usage_error(self, runner, star_files, tmp_path):
+        gpath, _ = star_files
+        fpath = tmp_path / "nosets.json"
+        fpath.write_text(json.dumps({"universe": [0, 1, 2, 3, 4]}))
+        result = runner.invoke(main, ["coverage", "--graph", gpath, "--family", str(fpath), "--op", "f"])
+        assert result.exit_code == 2 and "sets" in result.output
+
+    def test_set_outside_universe_is_usage_error(self, runner, star_files, tmp_path):
+        gpath, _ = star_files
+        fpath = tmp_path / "outside.json"
+        fpath.write_text(json.dumps({"universe": [0, 1, 2], "sets": [[0, 4]]}))
+        result = runner.invoke(main, ["coverage", "--graph", gpath, "--family", str(fpath), "--op", "f"])
+        assert result.exit_code == 2 and "leaves the universe" in result.output
+
+    def test_witness_file_without_order_is_usage_error(self, runner, star_files, tmp_path):
+        gpath, fpath = star_files
+        wpath = tmp_path / "wit.json"
+        wpath.write_text(json.dumps({"guards": {}}))
+        result = runner.invoke(
+            main,
+            ["coverage", "--graph", gpath, "--family", fpath, "--op", "h", "--witness-file", str(wpath)],
+        )
+        assert result.exit_code == 2 and "order" in result.output
 
     def test_op_h_needs_witness_file(self, runner, star_files):
         gpath, fpath = star_files

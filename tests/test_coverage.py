@@ -23,6 +23,7 @@ from bipart.coverage import (
 )
 from bipart.graphs import GnpSpec, Graph, sample_gnp
 
+from conftest import gnp_graphs
 from oracles import coverage_brute, maximal_plays
 
 STAR_5 = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
@@ -151,6 +152,23 @@ class TestReplayTrace:
         bad = trace.__class__(trace.order, ((0,),), trace.covered, trace.total)
         with pytest.raises(ValueError):
             replay_trace(g, range(4), fam, bad)
+
+    @given(gnp_graphs(min_n=2, max_n=8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_and_exact_traces_replay(self, g, data):
+        member = st.integers(0, g.n - 1)
+        sets = data.draw(st.lists(st.lists(member, min_size=1, max_size=3, unique=True),
+                                  max_size=4))
+        fam = CoverageFamily.of(range(g.n), sets)
+        exact = max_coverage_exact(g, range(g.n), fam)
+        greedy = max_coverage_greedy(g, range(g.n), fam, data.draw(st.integers(0, 99)))
+        for value, trace in (exact, greedy):
+            assert replay_trace(g, range(g.n), fam, trace) == value == trace.total
+            assert sorted(trace.order) == list(range(len(sets)))
+            taken = [e for step in trace.covered for e in step]
+            assert len(taken) == len(set(taken)) == value
+            assert all(g.has_edge(*e) for e in taken)
+        assert greedy[0] <= exact[0]
 
 
 class TestExclusiveSplit:

@@ -152,6 +152,15 @@ class TestIndependence:
         assert not res.complete
         assert res.value >= 1  # best-found lower bound still carried
 
+    def test_deep_search_does_not_recurse(self):
+        # At p = 0.97 the exclude branches chain through most of the 1500
+        # vertices, far deeper than the interpreter's recursion limit.
+        g = sample_gnp(GnpSpec(1500, 0.97, 3))
+        res = independence_number_exact(g, budget=4000)
+        assert res.nodes <= 4001 and res.value >= 1
+        for v in res.witness:
+            assert not g.adj[v] & res.witness.mask
+
     def test_matches_brute_force_200_seeds(self):
         for s in range(200):
             n = 4 + s % 9  # n in 4..12

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipart.graphs import (
     GnpSpec,
     Graph,
     independence_number_exact,
     independent_set_greedy,
+    iter_bits,
     sample_gnp,
 )
 from bipart.partition import (
@@ -28,7 +31,8 @@ from bipart.partition import (
 )
 from bipart.spectral import graham_pollak_lower_bound
 
-from oracles import beta_brute, tau_brute
+from conftest import gnp_graphs
+from oracles import beta_brute, tau_brute, validate_partition_reference
 
 
 def parts(*pairs):
@@ -73,6 +77,71 @@ class TestValidatePartition:
         issues = validate_partition(g, p)
         assert any(v.startswith("non-edge") for v in issues)
         assert any(v.startswith("duplicate-edge") for v in issues)
+
+
+@st.composite
+def mangled_partitions(draw):
+    """Star partitions with parts dropped, copied and mixed with random
+    bicliques, so every diagnostic kind appears: uncovered, duplicated,
+    non-edge and out-of-range."""
+    g = draw(gnp_graphs(min_n=1, max_n=9))
+    stars = star_decomposition(g, independent_set_greedy(g, draw(st.integers(0, 99)))).parts
+    keep = draw(st.lists(st.booleans(), min_size=len(stars), max_size=len(stars)))
+    out = [pt for pt, k in zip(stars, keep) if k]
+    vertex = st.integers(-2, g.n + 1)
+    for _ in range(draw(st.integers(0, 4))):
+        if out and draw(st.booleans()):
+            extra = draw(st.sampled_from(out))
+        else:
+            a = draw(st.frozensets(vertex, min_size=1, max_size=3))
+            b = draw(st.frozensets(vertex.filter(lambda v: v not in a), min_size=1, max_size=3))
+            extra = Biclique(a, b)
+        out.insert(draw(st.integers(0, len(out))), extra)
+    return g, BicliquePartition(g, tuple(out))
+
+
+@st.composite
+def random_partitions(draw):
+    """A valid partition mixing stars and larger bicliques, in drawn order.
+
+    Peels the smallest uncovered edge and grows its sides by drawn vertices
+    that keep every cross pair an uncovered edge.
+    """
+    g = draw(gnp_graphs(min_n=2, max_n=9))
+    rows = list(g.adj)
+    out = []
+    for u in range(g.n):
+        while rows[u]:
+            a, b = 1 << u, rows[u] & -rows[u]
+            for x in range(g.n):
+                bit = 1 << x
+                if (a | b) & bit:
+                    continue
+                if rows[x] & b == b and draw(st.booleans()):
+                    a |= bit
+                elif rows[x] & a == a and draw(st.booleans()):
+                    b |= bit
+            for x in iter_bits(a):
+                rows[x] &= ~b
+            for y in iter_bits(b):
+                rows[y] &= ~a
+            out.append(Biclique(frozenset(iter_bits(a)), frozenset(iter_bits(b))))
+    return g, BicliquePartition(g, tuple(draw(st.permutations(out))))
+
+
+class TestValidateAgainstReference:
+    @given(mangled_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_identical_diagnostics(self, case):
+        g, p = case
+        assert validate_partition(g, p) == validate_partition_reference(g, p)
+
+    def test_large_star_partition(self):
+        g = sample_gnp(GnpSpec(300, 0.5, 8))
+        stars = star_decomposition(g, independent_set_greedy(g, 8)).parts
+        p = BicliquePartition(g, stars[1:] + stars[:3])
+        issues = validate_partition(g, p)
+        assert issues and issues == validate_partition_reference(g, p)
 
 
 class TestStarDecomposition:
@@ -276,6 +345,12 @@ class TestNormalizeStarsFirst:
         p = BicliquePartition(g, parts(({0}, {1}),))
         with pytest.raises(ValueError, match="invalid"):
             normalize_stars_first(g, p)
+
+    @given(random_partitions())
+    @settings(max_examples=150, deadline=None)
+    def test_postconditions_on_random_partitions(self, case):
+        g, p = case
+        self.assert_postconditions(g, p, normalize_stars_first(g, p))
 
 
 class TestPartitionNumber:
