@@ -15,6 +15,7 @@ import click
 from . import __version__
 from .coverage import (
     PeelingError,
+    _is_int_list,
     family_from_json,
     exclusive_split,
     blocked_edge_count,
@@ -43,9 +44,12 @@ def _load_graph(path: str) -> Graph:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot load JSON from {path}: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"{path} does not hold a JSON object")
+    return data
 
 
 @click.group()
@@ -162,8 +166,11 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
             if witness_file is None:
                 raise click.UsageError("op h needs --witness-file")
             data = _load_json(witness_file)
-            order = [int(v) for v in data["order"]]
-            guards = {int(v): list(gs) for v, gs in data.get("guards", {}).items()}
+            order, guards = data["order"], data.get("guards", {})
+            if not (_is_int_list(order) and isinstance(guards, dict)
+                    and all(map(_is_int_list, guards.values()))):
+                raise ValueError('witness JSON needs "order": [int, ...] and "guards": {"v": [int, ...]}')
+            guards = {int(v): gs for v, gs in guards.items()}
             value = shielded_edge_count(g, universe, order, guards)
             payload = {"op": "h", "value": value, "w": order}
     except KeyError as exc:

@@ -97,8 +97,16 @@ def family_to_json(fam: CoverageFamily) -> dict:
     return {"universe": list(fam.universe), "sets": [list(s) for s in fam.sets]}
 
 
+def _is_int_list(x: object) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def family_from_json(data: dict) -> CoverageFamily:
-    return CoverageFamily.of(data["universe"], data["sets"])
+    """Parse ``family_to_json`` output; a field of the wrong type raises ValueError."""
+    universe, sets = data["universe"], data["sets"]
+    if not (_is_int_list(universe) and isinstance(sets, list) and all(map(_is_int_list, sets))):
+        raise ValueError('family JSON needs "universe": [int, ...] and "sets": [[int, ...], ...]')
+    return CoverageFamily.of(universe, sets)
 
 
 @dataclass(frozen=True)
@@ -266,7 +274,7 @@ def max_coverage_exact(
         ceiling += m.bit_count() * _common_mask(rows0, full, m).bit_count()
     if total > ceiling:
         raise AssertionError("coverage exceeded the single-set ceiling")
-    replay_trace(g, universe, fam, trace)
+    _replay(verts, index, rows0, set_masks, trace)
     return total, trace
 
 
@@ -288,7 +296,7 @@ def max_coverage_greedy(
         tuple(_cross_edges(verts, set_masks[j], cn) for j, cn in zip(order, sides)),
         total,
     )
-    replay_trace(g, universe, fam, trace)
+    _replay(verts, index, rows, set_masks, trace)
     return total, trace
 
 
@@ -302,7 +310,11 @@ def replay_trace(
     edges are exactly the cross edges taken, and no edge appears twice.
     Raises ValueError on any inconsistency; returns the verified total.
     """
-    verts, index, rows, set_masks = _local_setup(g, universe, fam)
+    return _replay(*_local_setup(g, universe, fam), trace)
+
+
+def _replay(verts, index, rows, set_masks, trace: CoverageTrace) -> int:
+    """``replay_trace`` on the local state ``_local_setup`` returns."""
     full = (1 << len(verts)) - 1
     if sorted(trace.order) != list(range(len(set_masks))):
         raise ValueError("trace order is not a permutation of the family")
@@ -473,27 +485,24 @@ def _log_base(x: float, base: float) -> float:
 class FamilySplit:
     """Size-threshold classification of a family.
 
-    ``small``, ``tiny``, and ``pairs`` are index tuples into the family's
-    sets: sizes strictly below delta1 * log_base(u), strictly below
-    delta2 * log_base(u), and exactly 2.  The tiers nest only once the
-    thresholds exceed 2, which takes an enormous universe or a base close
-    to 1; at small scale they are computed exactly as defined, nothing more.
+    ``small`` and ``pairs`` are index tuples into the family's sets: sizes
+    strictly below delta1 * log_base(u), and exactly 2.  The tiers nest only
+    once the threshold exceeds 2, which takes an enormous universe or a base
+    close to 1; at small scale they are computed exactly as defined, nothing
+    more.
     """
 
     small: tuple[int, ...]
-    tiny: tuple[int, ...]
     pairs: tuple[int, ...]
     delta1: float
-    delta2: float
     u: int
 
 
 def classify_family(fam: CoverageFamily, epsilon: float, base: float) -> FamilySplit:
-    """Split a family by the delta1/delta2 size thresholds.
+    """Split a family by the delta1 size threshold.
 
-    delta1 = min(epsilon / (4 (3 + epsilon)), 1/200) and delta2 = delta1 / 10^4.
-    Membership uses strict inequality against delta * log_base(u) where u is
-    the universe size.
+    delta1 = min(epsilon / (4 (3 + epsilon)), 1/200).  Membership uses strict
+    inequality against delta1 * log_base(u) where u is the universe size.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -506,12 +515,10 @@ def classify_family(fam: CoverageFamily, epsilon: float, base: float) -> FamilyS
         if len(s) < 2:
             raise ValueError("classification expects sets of size at least 2")
     d1 = _delta1(epsilon)
-    d2 = d1 / 10_000.0
     lbu = _log_base(u, base)
     small = tuple(i for i, s in enumerate(fam.sets) if len(s) < d1 * lbu)
-    tiny = tuple(i for i, s in enumerate(fam.sets) if len(s) < d2 * lbu)
     pairs = tuple(i for i, s in enumerate(fam.sets) if len(s) == 2)
-    return FamilySplit(small, tiny, pairs, d1, d2, u)
+    return FamilySplit(small, pairs, d1, u)
 
 
 class PeelingError(RuntimeError):

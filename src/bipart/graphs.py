@@ -58,8 +58,11 @@ def mask_of(vertices: VertexSet | Iterable[int]) -> int:
     if isinstance(vertices, VertexSet):
         return vertices.mask
     m = 0
-    for v in vertices:
-        m |= 1 << v
+    try:
+        for v in vertices:
+            m |= 1 << v
+    except ValueError:  # 1 << v with v < 0
+        raise ValueError("vertex indices must be nonnegative") from None
     return m
 
 

@@ -199,7 +199,7 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
         if 0 < n <= cfg.beta_exact_max_n and g.m > 0:
             beta_part = largest_induced_biclique(g, "exact")
             if beta_part is not None:
-                rec.alon_upper = n - (len(beta_part.a) + len(beta_part.b)) + 1
+                rec.alon_upper = n - (beta_part.a | beta_part.b).bit_count() + 1
         if rec.gp_bound > rec.tau_upper:
             rec.violations.append("gp_bound above n - alpha")
         if rec.tau_exact is not None:

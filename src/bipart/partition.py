@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -57,39 +57,37 @@ LOWER_BOUND_ONLY = "lower-bound-only"
 class Biclique:
     """One complete bipartite part: disjoint nonempty sides a and b.
 
-    In the context of a host graph every pair (x in a, y in b) must be an
-    edge; that is checked by the validators, not the constructor.  A part
-    with a singleton side is a star and the singleton is its center.
+    Each side is an int bitmask of vertices (bit v set iff v is on that
+    side), the same form as the rows of ``Graph.adj``.  In the context of a
+    host graph every pair (x in a, y in b) must be an edge; that is checked
+    by the validators, not the constructor.  A part with a singleton side is
+    a star and the singleton is its center.
     """
 
-    a: frozenset[int]
-    b: frozenset[int]
+    a: int
+    b: int
 
     def __post_init__(self) -> None:
-        if not self.a or not self.b:
-            raise ValueError("biclique sides must be nonempty")
+        if self.a <= 0 or self.b <= 0:
+            raise ValueError("biclique sides must be nonempty vertex masks")
         if self.a & self.b:
             raise ValueError("biclique sides must be disjoint")
 
     @classmethod
-    def of(cls, a: Iterable[int], b: Iterable[int]) -> "Biclique":
-        """Build with canonical orientation: |a| <= |b|, ties broken by min vertex."""
-        fa, fb = frozenset(a), frozenset(b)
-        if (len(fa), min(fa) if fa else -1) > (len(fb), min(fb) if fb else -1):
-            fa, fb = fb, fa
-        return cls(fa, fb)
+    def of(cls, a: VertexSet | Iterable[int], b: VertexSet | Iterable[int]) -> "Biclique":
+        """Build from vertex sets with canonical orientation: |a| <= |b|, ties
+        broken by min vertex.  A negative vertex raises ValueError."""
+        ma, mb = mask_of(a), mask_of(b)
+        if (ma.bit_count(), ma & -ma) > (mb.bit_count(), mb & -mb):
+            ma, mb = mb, ma
+        return cls(ma, mb)
 
     @property
     def is_star(self) -> bool:
-        return len(self.a) == 1 or len(self.b) == 1
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for x in self.a:
-            for y in self.b:
-                yield (x, y) if x < y else (y, x)
+        return self.a.bit_count() == 1 or self.b.bit_count() == 1
 
     def edge_count(self) -> int:
-        return len(self.a) * len(self.b)
+        return self.a.bit_count() * self.b.bit_count()
 
 
 @dataclass(frozen=True)
@@ -117,14 +115,12 @@ def validate_partition(g: Graph, partition: BicliquePartition) -> list[str]:
     An empty list means the partition is valid.
     """
     issues: list[str] = []
-    n = g.n
-    claimed = [0] * n  # claimed[x]: neighbors y whose edge {x, y} some part already holds
+    claimed = [0] * g.n  # claimed[x]: neighbors y whose edge {x, y} some part already holds
+    full = g.vertex_mask
     for i, part in enumerate(partition.parts):
-        for v in part.a | part.b:
-            if not (0 <= v < n):
-                issues.append(f"vertex-out-of-range: {v} in part {i}")
-        amask = mask_of(v for v in part.a if 0 <= v < n)
-        bmask = mask_of(v for v in part.b if 0 <= v < n)
+        for v in iter_bits((part.a | part.b) & ~full):
+            issues.append(f"vertex-out-of-range: {v} in part {i}")
+        amask, bmask = part.a & full, part.b & full
         for x in iter_bits(amask):
             row = g.adj[x]
             for y in iter_bits(bmask & ~(row & ~claimed[x])):
@@ -133,20 +129,16 @@ def validate_partition(g: Graph, partition: BicliquePartition) -> list[str]:
                     issues.append(f"non-edge: {e} claimed by part {i}")
                 else:
                     first = next(j for j, q in enumerate(partition.parts)
-                                 if (x in q.a and y in q.b) or (x in q.b and y in q.a))
+                                 if ((q.a >> x) & (q.b >> y) | (q.b >> x) & (q.a >> y)) & 1)
                     issues.append(f"duplicate-edge: {e} in parts {first} and {i}")
             claimed[x] |= bmask & row
         for y in iter_bits(bmask):
             claimed[y] |= amask & g.adj[y]
-    for v in range(n):
+    for v in range(g.n):
         w = (g.adj[v] & ~claimed[v]) >> (v + 1)
         for u in iter_bits(w):
             issues.append(f"uncovered-edge: {(v, v + 1 + u)}")
     return issues
-
-
-def _part(a_mask: int, b_mask: int) -> Biclique:
-    return Biclique(frozenset(iter_bits(a_mask)), frozenset(iter_bits(b_mask)))
 
 
 def _stars_outside(g: Graph, inside: int) -> list[Biclique]:
@@ -158,7 +150,7 @@ def _stars_outside(g: Graph, inside: int) -> list[Biclique]:
         leaves = g.adj[c] & ~used_centers
         used_centers |= 1 << c
         if leaves:
-            parts.append(_part(1 << c, leaves))
+            parts.append(Biclique(1 << c, leaves))
     return parts
 
 
@@ -181,18 +173,13 @@ def star_decomposition(g: Graph, independent: VertexSet | Iterable[int]) -> Bicl
 
 def is_induced_biclique(g: Graph, part: Biclique) -> bool:
     """True iff the subgraph induced by a union b is exactly complete bipartite."""
-    amask, bmask = mask_of(part.a), mask_of(part.b)
-    if (amask | bmask) >> g.n:
+    a, b = part.a, part.b
+    if (a | b) >> g.n:
         return False
-    for v in iter_bits(amask):
-        if g.adj[v] & amask:
+    for v in iter_bits(a):
+        if g.adj[v] & a or g.adj[v] & b != b:
             return False
-        if g.adj[v] & bmask != bmask:
-            return False
-    for v in iter_bits(bmask):
-        if g.adj[v] & bmask:
-            return False
-    return True
+    return not any(g.adj[v] & b for v in iter_bits(b))
 
 
 def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartition:
@@ -203,7 +190,7 @@ def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartitio
     """
     if not is_induced_biclique(g, ab):
         raise ValueError("the given part is not an induced complete bipartite subgraph")
-    parts = _stars_outside(g, mask_of(ab.a) | mask_of(ab.b))
+    parts = _stars_outside(g, ab.a | ab.b)
     parts.append(ab)
     return BicliquePartition(g, tuple(parts))
 
@@ -277,7 +264,7 @@ def _largest_induced_exact(g: Graph) -> Biclique:
     extend(0, 0, full)
     if best is None:
         raise AssertionError("graph with edges must contain at least a single-edge biclique")
-    return Biclique.of(iter_bits(best[0]), iter_bits(best[1]))
+    return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
 
 
 def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
@@ -302,7 +289,7 @@ def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
     if best is None:
         u, v = edges[0]
         best = (1 << u, 1 << v)
-    return Biclique.of(iter_bits(best[0]), iter_bits(best[1]))
+    return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
 
 
 def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePartition:
@@ -320,13 +307,12 @@ def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePar
     stars: list[tuple[int, int]] = []  # (center, leaves mask)
     nonstars: list[tuple[int, int]] = []  # (a mask, b mask)
     for part in partition.parts:
-        amask, bmask = mask_of(part.a), mask_of(part.b)
-        if len(part.a) == 1:
-            stars.append(((amask & -amask).bit_length() - 1, bmask))
-        elif len(part.b) == 1:
-            stars.append(((bmask & -bmask).bit_length() - 1, amask))
+        if part.a.bit_count() == 1:
+            stars.append((part.a.bit_length() - 1, part.b))
+        elif part.b.bit_count() == 1:
+            stars.append((part.b.bit_length() - 1, part.a))
         else:
-            nonstars.append((amask, bmask))
+            nonstars.append((part.a, part.b))
 
     star_index: dict[int, int] = {}
     for i, (c, _) in enumerate(stars):
@@ -370,8 +356,8 @@ def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePar
                     nonstars.insert(idx, (a_rest, b_rest))
             break
 
-    parts = [_part(1 << c, leaves) for c, leaves in stars]
-    parts.extend(_part(a, b) for a, b in nonstars)
+    parts = [Biclique(1 << c, leaves) for c, leaves in stars]
+    parts.extend(Biclique(a, b) for a, b in nonstars)
     result = BicliquePartition(g, tuple(parts))
     post = validate_partition(g, result)
     if post:
@@ -419,9 +405,7 @@ def _solve_partition_number(
     root_bound = max(root_sig.n_plus, root_sig.n_minus)
 
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
-    best_parts: list[tuple[int, int]] | None = (
-        [(mask_of(p.a), mask_of(p.b)) for p in incumbent.parts] if incumbent is not None else None
-    )
+    witness = incumbent
     current: list[tuple[int, int]] = []
     nodes = 0
     exhausted = False
@@ -437,7 +421,7 @@ def _solve_partition_number(
         return max(sig.n_plus, sig.n_minus)
 
     def dfs() -> None:
-        nonlocal best_value, best_parts, nodes, exhausted
+        nonlocal best_value, witness, nodes, exhausted
         if exhausted:
             return
         nodes += 1
@@ -448,7 +432,7 @@ def _solve_partition_number(
         if edge is None:
             if len(current) < best_value:
                 best_value = len(current)
-                best_parts = list(current)
+                witness = BicliquePartition(g, tuple(Biclique(a, b) for a, b in current))
             return
         depth = len(current)
         if depth + 1 >= best_value:
@@ -462,11 +446,8 @@ def _solve_partition_number(
             a_mask = sub_a | (1 << a)
             if a_mask.bit_count() < min_side:
                 continue
-            cn = rows[a]
-            for x in iter_bits(sub_a):
-                cn &= rows[x]
-            cn &= ~a_mask
-            pool_b = cn & ~(1 << b)
+            # Common neighbors of a_mask; rows[a] holds no a, so it is the pool.
+            pool_b = _common_mask(rows, rows[a], sub_a) & ~(1 << b)
             for sub_b in _submasks(pool_b):
                 b_mask = sub_b | (1 << b)
                 if b_mask.bit_count() < min_side:
@@ -489,9 +470,6 @@ def _solve_partition_number(
 
     dfs()
 
-    witness = None
-    if best_parts is not None:
-        witness = BicliquePartition(g, tuple(_part(a, b) for a, b in best_parts))
     if not exhausted:
         return SolveResult(best_value, witness, EXACT, best_value, nodes)
     return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)
@@ -533,7 +511,8 @@ def partition_to_json(partition: BicliquePartition) -> dict:
     return {
         "n": partition.host.n,
         "parts": [
-            {"a": sorted(part.a), "b": sorted(part.b)} for part in partition.parts
+            {"a": list(iter_bits(part.a)), "b": list(iter_bits(part.b))}
+            for part in partition.parts
         ],
     }
 
@@ -542,7 +521,7 @@ def partition_from_json(data: dict, host: Graph) -> BicliquePartition:
     if data.get("n") != host.n:
         raise ValueError(f"partition is for n={data.get('n')}, graph has n={host.n}")
     parts = tuple(
-        Biclique(frozenset(entry["a"]), frozenset(entry["b"])) for entry in data["parts"]
+        Biclique(mask_of(entry["a"]), mask_of(entry["b"])) for entry in data["parts"]
     )
     return BicliquePartition(host, parts)
 

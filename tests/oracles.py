@@ -225,12 +225,12 @@ def validate_partition_reference(g: Graph, partition) -> list[str]:
     issues: list[str] = []
     seen: dict[tuple[int, int], int] = {}
     for i, part in enumerate(partition.parts):
-        for v in part.a | part.b:
-            if not (0 <= v < g.n):
+        for v in iter_bits(part.a | part.b):
+            if v >= g.n:
                 issues.append(f"vertex-out-of-range: {v} in part {i}")
-        for x in sorted(part.a):
-            for y in sorted(part.b):
-                if not (0 <= x < g.n and 0 <= y < g.n):
+        for x in iter_bits(part.a):
+            for y in iter_bits(part.b):
+                if x >= g.n or y >= g.n:
                     continue
                 e = (x, y) if x < y else (y, x)
                 if not g.has_edge(*e):

@@ -151,6 +151,28 @@ class TestCoverage:
         )
         assert result.exit_code == 2 and "order" in result.output
 
+    @pytest.mark.parametrize("family, message", [
+        ({"universe": [0, 1, 2, 3, 4], "sets": 5}, "family JSON"),
+        ({"universe": 3, "sets": [[0, 1]]}, "family JSON"),
+        ([[0, 1], [1, 2]], "JSON object"),
+    ], ids=["sets-a-number", "universe-a-number", "not-an-object"])
+    def test_wrong_typed_family_is_usage_error(self, runner, star_files, tmp_path, family, message):
+        gpath, _ = star_files
+        fpath = tmp_path / "typed.json"
+        fpath.write_text(json.dumps(family))
+        result = runner.invoke(main, ["coverage", "--graph", gpath, "--family", str(fpath), "--op", "f"])
+        assert result.exit_code == 2 and message in result.output
+
+    def test_wrong_typed_guard_is_usage_error(self, runner, star_files, tmp_path):
+        gpath, fpath = star_files
+        wpath = tmp_path / "wit.json"
+        wpath.write_text(json.dumps({"order": [0, 1], "guards": {"2": 7}}))
+        result = runner.invoke(
+            main,
+            ["coverage", "--graph", gpath, "--family", fpath, "--op", "h", "--witness-file", str(wpath)],
+        )
+        assert result.exit_code == 2 and "witness JSON" in result.output
+
     def test_op_h_needs_witness_file(self, runner, star_files):
         gpath, fpath = star_files
         result = runner.invoke(main, ["coverage", "--graph", gpath, "--family", fpath, "--op", "h"])

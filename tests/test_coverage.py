@@ -299,7 +299,6 @@ class TestClassifyFamily:
     def test_epsilon_one_thresholds(self):
         split = classify_family(CoverageFamily.of(range(10), [(0, 1)]), 1.0, 2.0)
         assert split.delta1 == pytest.approx(1 / 200)
-        assert split.delta2 == pytest.approx(1 / 2_000_000)
 
     def test_small_epsilon_takes_other_branch(self):
         # epsilon/(4(3+epsilon)) dips below 1/200 once epsilon < 12/196.
@@ -307,12 +306,12 @@ class TestClassifyFamily:
         assert split.delta1 == pytest.approx(0.04 / (4 * 3.04))
 
     def test_nesting_when_thresholds_exceed_two(self):
-        # With base barely above 1 the thresholds blow up and the tiers nest.
+        # With base barely above 1 the threshold blows up and the tiers nest.
         base = 1.0 + 1e-9
         fam = CoverageFamily.of(range(10), [(0, 1), (2, 3, 4), (5, 6)])
         split = classify_family(fam, 1.0, base)
         assert split.delta1 * math.log(10) / math.log(base) > 2
-        assert set(split.pairs) <= set(split.tiny) <= set(split.small)
+        assert set(split.pairs) <= set(split.small)
         assert set(split.small) == {0, 1, 2}
 
     def test_boundary_strictness(self):

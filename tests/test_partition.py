@@ -10,6 +10,7 @@ from bipart.graphs import (
     independence_number_exact,
     independent_set_greedy,
     iter_bits,
+    mask_of,
     sample_gnp,
 )
 from bipart.partition import (
@@ -36,23 +37,29 @@ from oracles import beta_brute, tau_brute, validate_partition_reference
 
 
 def parts(*pairs):
-    return tuple(Biclique(frozenset(a), frozenset(b)) for a, b in pairs)
+    return tuple(Biclique(mask_of(a), mask_of(b)) for a, b in pairs)
 
 
 class TestBiclique:
     def test_sides_must_be_nonempty_and_disjoint(self):
         with pytest.raises(ValueError):
-            Biclique(frozenset(), frozenset({1}))
+            Biclique(0, mask_of({1}))
         with pytest.raises(ValueError):
-            Biclique(frozenset({1}), frozenset({1, 2}))
+            Biclique(mask_of({1}), mask_of({1, 2}))
 
     def test_canonical_orientation(self):
         b = Biclique.of([3, 4], [0])
-        assert b.a == frozenset({0}) and b.b == frozenset({3, 4})
+        assert b.a == mask_of({0}) and b.b == mask_of({3, 4})
         assert b.is_star
 
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Biclique.of([-1], [0, 1])
+        with pytest.raises(ValueError):
+            Biclique(-1, mask_of({0}))
+
     def test_edge_count(self):
-        assert Biclique(frozenset({0, 1}), frozenset({2, 3, 4})).edge_count() == 6
+        assert Biclique(mask_of({0, 1}), mask_of({2, 3, 4})).edge_count() == 6
 
 
 class TestValidatePartition:
@@ -83,19 +90,20 @@ class TestValidatePartition:
 def mangled_partitions(draw):
     """Star partitions with parts dropped, copied and mixed with random
     bicliques, so every diagnostic kind appears: uncovered, duplicated,
-    non-edge and out-of-range."""
+    non-edge and out-of-range (vertices n and n + 1; a side mask has no bit
+    for a negative vertex)."""
     g = draw(gnp_graphs(min_n=1, max_n=9))
     stars = star_decomposition(g, independent_set_greedy(g, draw(st.integers(0, 99)))).parts
     keep = draw(st.lists(st.booleans(), min_size=len(stars), max_size=len(stars)))
     out = [pt for pt, k in zip(stars, keep) if k]
-    vertex = st.integers(-2, g.n + 1)
+    vertex = st.integers(0, g.n + 1)
     for _ in range(draw(st.integers(0, 4))):
         if out and draw(st.booleans()):
             extra = draw(st.sampled_from(out))
         else:
             a = draw(st.frozensets(vertex, min_size=1, max_size=3))
             b = draw(st.frozensets(vertex.filter(lambda v: v not in a), min_size=1, max_size=3))
-            extra = Biclique(a, b)
+            extra = Biclique(mask_of(a), mask_of(b))
         out.insert(draw(st.integers(0, len(out))), extra)
     return g, BicliquePartition(g, tuple(out))
 
@@ -125,7 +133,7 @@ def random_partitions(draw):
                 rows[x] &= ~b
             for y in iter_bits(b):
                 rows[y] &= ~a
-            out.append(Biclique(frozenset(iter_bits(a)), frozenset(iter_bits(b))))
+            out.append(Biclique(a, b))
     return g, BicliquePartition(g, tuple(draw(st.permutations(out))))
 
 
@@ -152,7 +160,7 @@ class TestStarDecomposition:
     def test_c5(self):
         p = star_decomposition(Graph.cycle(5), [1, 3])
         assert len(p.parts) == 3 and p.is_valid()
-        assert {min(pt.a) for pt in p.parts} == {0, 2, 4}
+        assert {min(iter_bits(pt.a)) for pt in p.parts} == {0, 2, 4}
 
     def test_edgeless(self):
         p = star_decomposition(Graph.empty(5), range(5))
@@ -174,17 +182,17 @@ class TestStarDecomposition:
 class TestStarPlusBiclique:
     def test_whole_graph_biclique(self):
         g = Graph.complete_bipartite(2, 3)
-        p = star_plus_biclique_decomposition(g, Biclique(frozenset({0, 1}), frozenset({2, 3, 4})))
+        p = star_plus_biclique_decomposition(g, Biclique(mask_of({0, 1}), mask_of({2, 3, 4})))
         assert len(p.parts) == 1 and p.is_valid()
 
     def test_c4_plus_pendant(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
-        p = star_plus_biclique_decomposition(g, Biclique(frozenset({0, 2}), frozenset({1, 3})))
+        p = star_plus_biclique_decomposition(g, Biclique(mask_of({0, 2}), mask_of({1, 3})))
         assert len(p.parts) == 2 and p.is_valid()
 
     def test_k4_single_edge_part(self):
         g = Graph.complete(4)
-        ab = Biclique(frozenset({0}), frozenset({1}))
+        ab = Biclique(mask_of({0}), mask_of({1}))
         p = star_plus_biclique_decomposition(g, ab)
         assert p.is_valid()
         assert len(p.parts) <= g.n - 2 + 1
@@ -192,22 +200,22 @@ class TestStarPlusBiclique:
     def test_rejects_non_induced(self):
         with pytest.raises(ValueError, match="induced"):
             star_plus_biclique_decomposition(
-                Graph.complete(4), Biclique(frozenset({0, 1}), frozenset({2, 3}))
+                Graph.complete(4), Biclique(mask_of({0, 1}), mask_of({2, 3}))
             )
 
 
 class TestLargestInducedBiclique:
     def test_k33(self):
         b = largest_induced_biclique(Graph.complete_bipartite(3, 3))
-        assert len(b.a) + len(b.b) == 6
+        assert (b.a | b.b).bit_count() == 6
 
     def test_k4_only_single_edges(self):
         b = largest_induced_biclique(Graph.complete(4))
-        assert len(b.a) + len(b.b) == 2
+        assert (b.a | b.b).bit_count() == 2
 
     def test_c5_path(self):
         b = largest_induced_biclique(Graph.cycle(5))
-        assert len(b.a) + len(b.b) == 3
+        assert (b.a | b.b).bit_count() == 3
 
     def test_edgeless_has_none(self):
         assert largest_induced_biclique(Graph.empty(4)) is None
@@ -220,7 +228,7 @@ class TestLargestInducedBiclique:
         for s in range(40):
             g = sample_gnp(GnpSpec(7, 0.5, 80_000 + s))
             b = largest_induced_biclique(g)
-            got = 0 if b is None else len(b.a) + len(b.b)
+            got = 0 if b is None else (b.a | b.b).bit_count()
             assert got == beta_brute(g), s
 
     def test_heuristic_output_is_induced(self):
@@ -272,9 +280,7 @@ def enumerate_partitions(g, max_parts):
                     rows[x] &= ~b_mask
                 for y in iter_bits(b_mask):
                     rows[y] &= ~a_mask
-                current.append(
-                    Biclique(frozenset(iter_bits(a_mask)), frozenset(iter_bits(b_mask)))
-                )
+                current.append(Biclique(a_mask, b_mask))
                 rec(current)
                 current.pop()
                 for v, row in saved:
@@ -285,10 +291,6 @@ def enumerate_partitions(g, max_parts):
 
 
 class TestNormalizeStarsFirst:
-    @staticmethod
-    def star_centers(p):
-        return {min(pt.a) if len(pt.a) == 1 else min(pt.b) for pt in p.parts if pt.is_star}
-
     def assert_postconditions(self, g, before, after):
         assert after.is_valid()
         assert len(after.parts) <= len(before.parts)
@@ -296,11 +298,11 @@ class TestNormalizeStarsFirst:
         stars_after = sum(1 for pt in after.parts if pt.is_star)
         assert stars_after >= stars_before
         seen_nonstar = False
-        centers = set()
+        centers = 0
         for pt in after.parts:
             if pt.is_star:
                 assert not seen_nonstar, "stars must come first"
-                centers.add(min(pt.a) if len(pt.a) == 1 else min(pt.b))
+                centers |= pt.a if pt.a.bit_count() == 1 else pt.b
             else:
                 seen_nonstar = True
         for pt in after.parts:
@@ -418,7 +420,7 @@ class TestPartitionNumber:
             assert gp <= res.value <= n - alpha, (s, gp, res.value, n - alpha)
             beta_part = largest_induced_biclique(g)
             if beta_part is not None:
-                beta = len(beta_part.a) + len(beta_part.b)
+                beta = (beta_part.a | beta_part.b).bit_count()
                 assert res.value <= n - beta + 1, s
             if res.witness is not None:
                 assert res.witness.is_valid()
@@ -490,7 +492,7 @@ class TestStrongPartitionNumber:
             if strong.witness is not None:
                 assert strong.witness.is_valid()
                 assert all(
-                    len(pt.a) >= 2 and len(pt.b) >= 2 for pt in strong.witness.parts
+                    pt.a.bit_count() >= 2 and pt.b.bit_count() >= 2 for pt in strong.witness.parts
                 )
 
 
@@ -511,7 +513,7 @@ class TestConstructionValidity:
             ab = largest_induced_biclique(g, "heuristic", budget=20, seed=s)
             combo = star_plus_biclique_decomposition(g, ab)
             assert combo.is_valid(), s
-            assert len(combo.parts) <= n - (len(ab.a) + len(ab.b)) + 1, s
+            assert len(combo.parts) <= n - (ab.a | ab.b).bit_count() + 1, s
             normalized = normalize_stars_first(g, combo)
             assert normalized.is_valid(), s
             assert len(normalized.parts) <= len(combo.parts), s
@@ -531,3 +533,9 @@ class TestPartitionJson:
         data = partition_to_json(star_decomposition(g, [3]))
         with pytest.raises(ValueError):
             partition_from_json(data, Graph.complete(5))
+
+    def test_negative_vertex_rejected(self):
+        g = Graph.complete(4)
+        data = {"n": 4, "parts": [{"a": [-1], "b": [0, 1]}]}
+        with pytest.raises(ValueError, match="nonnegative"):
+            partition_from_json(data, g)
