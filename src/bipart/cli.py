@@ -15,7 +15,6 @@ import click
 from . import __version__
 from .coverage import (
     PeelingError,
-    _is_int_list,
     family_from_json,
     exclusive_split,
     blocked_edge_count,
@@ -24,7 +23,7 @@ from .coverage import (
     peel_witness,
     shielded_edge_count,
 )
-from .graphs import GnpSpec, Graph, read_edge_list, sample_gnp, write_edge_list
+from .graphs import GnpSpec, Graph, _is_int_list, read_edge_list, sample_gnp, write_edge_list
 from .harness import ExperimentConfig, emit_report, run_experiment
 from .partition import (
     partition_number_exact,

@@ -15,8 +15,11 @@ throughout this module.
 Two certificate constructions bound the complementary quantity, edges that
 NO completion can cover: ``blocked_edge_count`` for vertices owned by a
 single 2-set, and ``shielded_edge_count`` over a peeled witness built by
-``peel_witness``.  ``uncovered_lower_bound`` combines both soundly against
-an arbitrary mixed family.
+``peel_witness``.  Both count edges by one guarded-edge rule: an edge
+{x, y} counts when x has no edge into y's guard and y has none into x's.
+The pair certificate's guard of a vertex is its 2-set partner; the witness
+certificate's is the guard set peeling gave it.  ``uncovered_lower_bound``
+combines both soundly against an arbitrary mixed family.
 """
 
 from __future__ import annotations
@@ -346,6 +349,31 @@ def _replay(verts, index, rows, set_masks, trace: CoverageTrace) -> int:
     return total
 
 
+def _ownership(sets: Iterable[tuple[int, ...]]) -> tuple[int, dict[int, int]]:
+    """The mask of vertices lying in exactly one of ``sets``, and for each
+    vertex the mask of the last set containing it (its owner, if it has one)."""
+    seen = twice = 0
+    owner: dict[int, int] = {}
+    for s in sets:
+        m = mask_of(s)
+        twice |= seen & m
+        seen |= m
+        owner.update(dict.fromkeys(s, m))
+    return seen & ~twice, owner
+
+
+def _guarded_edges(rows: Sequence[int], w_mask: int, guard: Sequence[int]) -> int:
+    """Edges {x, y} inside ``w_mask`` where x has no edge into guard[y] and y
+    has no edge into guard[x]; both certificates count edges by this rule."""
+    total = 0
+    for x in iter_bits(w_mask):
+        row, gx = rows[x], guard[x]
+        for y in iter_bits(row & (w_mask >> (x + 1) << (x + 1))):
+            if not (row & guard[y] or rows[y] & gx):
+                total += 1
+    return total
+
+
 def exclusive_split(fam: CoverageFamily) -> tuple[VertexSet, VertexSet]:
     """From a family of 2-sets, the exclusively-owned vertices and their partners.
 
@@ -360,26 +388,18 @@ def exclusive_split(fam: CoverageFamily) -> tuple[VertexSet, VertexSet]:
     for s in fam.sets:
         if len(s) != 2:
             raise ValueError(f"exclusive split needs 2-sets, got {s}")
-    count: dict[int, int] = {}
-    owner: dict[int, tuple[int, int]] = {}
-    for s in fam.sets:
-        for v in s:
-            count[v] = count.get(v, 0) + 1
-            owner[v] = s
-    s0 = {v for v, c in count.items() if c == 1}
-    kept = set(s0)
-    for s in sorted(set(fam.sets)):
-        x, y = s
-        if x in kept and y in kept:
-            kept.discard(max(x, y))
-    partners = {next(iter(set(owner[v]) - {v})) for v in kept}
-    s_set = VertexSet.of(kept, universe_n)
-    t_set = VertexSet.of(partners, universe_n)
-    if s_set.mask & t_set.mask:
+    once, owner = _ownership(fam.sets)
+    kept = partners = 0
+    for v in iter_bits(once):
+        partner = owner[v] ^ (1 << v)
+        if not (partner & once and partner < (1 << v)):
+            kept |= 1 << v
+            partners |= partner
+    if kept & partners:
         raise AssertionError("kept vertices and partners overlap")
-    if len(s_set) < len(t_set):
+    if kept.bit_count() < partners.bit_count():
         raise AssertionError("partner set larger than kept set")
-    return s_set, t_set
+    return VertexSet(kept, universe_n), VertexSet(partners, universe_n)
 
 
 def blocked_edge_count(
@@ -391,10 +411,11 @@ def blocked_edge_count(
     """Edges inside ``s`` that no completion of the 2-set family can cover.
 
     Counts pairs u, v in s with {u, v} an edge while u is not adjacent to
-    v's partner and v is not adjacent to u's partner.  Such an edge could
-    only be covered via one of the two owning 2-sets, and the missing
-    partner edges rule both out.  ``t`` is accepted for interface symmetry
-    and only validated against s.
+    v's partner and v is not adjacent to u's partner: the guarded-edge rule
+    with each vertex's partner as its guard.  Such an edge could only be
+    covered via one of the two owning 2-sets, and the missing partner edges
+    rule both out.  ``t`` is accepted for interface symmetry and only
+    validated against s.
     """
     s_mask = mask_of(s)
     t_mask = mask_of(t)
@@ -402,28 +423,15 @@ def blocked_edge_count(
         raise ValueError("s and t must be disjoint")
     if (s_mask | t_mask | mask_of(fam.universe)) >> g.n:
         raise ValueError("family or certificate vertices leave the graph")
-    owner: dict[int, list[tuple[int, ...]]] = {}
-    for pair in fam.sets:
-        if len(pair) != 2:
-            continue
-        for v in pair:
-            owner.setdefault(v, []).append(pair)
-    partner: dict[int, int] = {}
+    once, owner = _ownership(pair for pair in fam.sets if len(pair) == 2)
+    unowned = s_mask & ~once
+    if unowned:
+        v = (unowned & -unowned).bit_length() - 1
+        raise ValueError(f"vertex {v} is not owned by exactly one 2-set")
+    guard = [0] * g.n
     for v in iter_bits(s_mask):
-        owned = owner.get(v, [])
-        if len(owned) != 1:
-            raise ValueError(f"vertex {v} is not owned by exactly one 2-set")
-        partner[v] = next(iter(set(owned[0]) - {v}))
-    members = list(iter_bits(s_mask))
-    total = 0
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not g.has_edge(u, v):
-                continue
-            if g.has_edge(u, partner[v]) or g.has_edge(v, partner[u]):
-                continue
-            total += 1
-    return total
+        guard[v] = owner[v] ^ (1 << v)
+    return _guarded_edges(g.adj, s_mask, guard)
 
 
 def shielded_edge_count(
@@ -445,7 +453,7 @@ def shielded_edge_count(
     w_mask = mask_of(w)
     if w_mask & ~u_mask:
         raise ValueError("w must sit inside the universe")
-    guard_masks: dict[int, int] = {}
+    guard = [0] * g.n
     taken = 0
     for v, gset in guards.items():
         if not (w_mask >> v) & 1:
@@ -458,19 +466,17 @@ def shielded_edge_count(
         if gm & taken:
             raise ValueError("guard sets overlap")
         taken |= gm
-        guard_masks[v] = gm
-    members = list(iter_bits(w_mask))
-    total = 0
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            if not g.has_edge(x, y):
-                continue
-            if g.adj[x] & guard_masks.get(y, 0):
-                continue
-            if g.adj[y] & guard_masks.get(x, 0):
-                continue
-            total += 1
-    return total
+        guard[v] = gm
+    return _guarded_edges(g.adj, w_mask, guard)
+
+
+def _degrees(sets: Iterable[tuple[int, ...]], n: int) -> list[int]:
+    """How many of ``sets`` contain each vertex of 0..n-1."""
+    degree = [0] * n
+    for s in sets:
+        for v in s:
+            degree[v] += 1
+    return degree
 
 
 def _delta1(epsilon: float) -> float:
@@ -573,10 +579,10 @@ def peel_witness(
     if w_mask & ~universe_mask:
         raise ValueError("w must sit inside the family universe")
     if degree_bound is not None:
+        degree = _degrees(fam.sets, universe_mask.bit_length())
         for v in iter_bits(w_mask):
-            deg = sum(1 for s in fam.sets if v in s)
-            if deg >= degree_bound:
-                raise ValueError(f"vertex {v} has hypergraph degree {deg} >= bound")
+            if degree[v] >= degree_bound:
+                raise ValueError(f"vertex {v} has hypergraph degree {degree[v]} >= bound")
     if ordering is None:
         order_list = list(iter_bits(w_mask))
     else:
@@ -598,8 +604,7 @@ def peel_witness(
             )
         v_bit = 1 << v
         incident = [frag for frag in fragments if frag & v_bit]
-        guard: list[int] = []
-        union_incident = 0
+        guard = union_incident = 0
         for frag in incident:
             rest = frag & ~v_bit
             if not rest:
@@ -607,7 +612,7 @@ def peel_witness(
                     f"fragment at vertex {v} has no guard representative (step {step})",
                     step,
                 )
-            guard.append((rest & -rest).bit_length() - 1)
+            guard |= rest & -rest
             union_incident |= frag
         dangling = [
             frag for frag in fragments if frag and (frag & ~union_incident).bit_count() == 1
@@ -619,11 +624,11 @@ def peel_witness(
         fragments = [frag & ~wipe for frag in fragments]
         fragments = [frag for frag in fragments if frag]
         out_order.append(v)
-        guards[v] = tuple(sorted(set(guard)))
+        guards[v] = tuple(iter_bits(guard))
 
     taken = 0
     out_mask = mask_of(out_order)
-    for v, gset in guards.items():
+    for gset in guards.values():
         gm = mask_of(gset)
         if gm & out_mask:
             raise AssertionError("guard set touches the witness vertices")
@@ -670,25 +675,16 @@ def uncovered_lower_bound(
     if not fam.sets:
         return CoverageBound(0, 0, 0, note="no-certificate")
 
-    membership: dict[int, int] = {}
-    for s in fam.sets:
-        for v in s:
-            membership[v] = membership.get(v, 0) + 1
-
     # Pair certificate on exclusively-owned 2-set vertices.  Ownership is
     # counted across the whole family so larger sets cannot sneak in a cover.
-    pair_sets = [s for s in fam.sets if len(s) == 2]
-    pair_bound = 0
-    s_keep: tuple[int, ...] = ()
-    t_partners: tuple[int, ...] = ()
-    if pair_sets:
-        fam2 = CoverageFamily.of(fam.universe, pair_sets)
-        s_all, t_all = exclusive_split(fam2)
-        keep = [v for v in s_all if membership.get(v, 0) == 1]
-        if keep:
-            pair_bound = blocked_edge_count(g, fam2, keep, t_all)
-            s_keep = tuple(keep)
-            t_partners = t_all.as_tuple()
+    once, _ = _ownership(fam.sets)
+    fam2 = CoverageFamily.of(fam.universe, [s for s in fam.sets if len(s) == 2])
+    s_all, t_all = exclusive_split(fam2)
+    keep = s_all.mask & once
+    pair_bound, s_keep, t_partners = 0, (), ()
+    if keep:
+        s_keep, t_partners = tuple(iter_bits(keep)), t_all.as_tuple()
+        pair_bound = blocked_edge_count(g, fam2, s_keep, t_all)
 
     # Witness certificate over the small tier.  Vertices touched by any set
     # outside the tier are excluded from the pool, so every left side meeting
@@ -703,34 +699,28 @@ def uncovered_lower_bound(
         split = classify_family(CoverageFamily.of(fam.universe, classified), epsilon, base)
         small_sets = [classified[i] for i in split.small]
     small_lookup = set(small_sets)
-    blocked: set[int] = set()
+    blocked = 0
     for s in fam.sets:
         if s not in small_lookup:
-            blocked.update(s)
+            blocked |= mask_of(s)
     if u_size >= 2:
-        degree_h: dict[int, int] = {}
-        for s in small_sets:
-            for v in s:
-                degree_h[v] = degree_h.get(v, 0) + 1
         d1 = _delta1(epsilon)
         degree_cap = (d1 / 2.0 - d1 / 3000.0) * _log_base(u_size, base)
-        pool = [v for v in fam.universe if v not in blocked]
+        pool = [v for v in fam.universe if not (blocked >> v) & 1]
         if small_sets:
-            pool = [v for v in pool if degree_h.get(v, 0) < degree_cap]
+            degree = _degrees(small_sets, max(fam.universe) + 1)
+            pool = [v for v in pool if degree[v] < degree_cap]
         if pool:
             rng = random.Random(seed)
             rng.shuffle(pool)
             small_fam = CoverageFamily.of(fam.universe, small_sets)
             try:
                 witness = peel_witness(small_fam, pool, base, ordering=pool)
-                guard_map = {v: witness.guards.get(v, ()) for v in witness.order}
                 witness_bound = shielded_edge_count(
-                    g, VertexSet(u_mask, g.n), witness.order, guard_map
+                    g, VertexSet(u_mask, g.n), witness.order, witness.guards
                 )
             except PeelingError as exc:
                 note = f"witness peeling failed after {exc.steps} steps"
-                witness = None
-                witness_bound = 0
 
     value = max(pair_bound, witness_bound, 0)
     return CoverageBound(value, pair_bound, witness_bound, s_keep, t_partners, witness, note)

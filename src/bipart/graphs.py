@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -106,6 +105,11 @@ class VertexSet:
         return tuple(iter_bits(self.mask))
 
 
+def _is_int_list(x: object) -> bool:
+    """A JSON list of ints (bools refused), the form vertex lists take in input files."""
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def _mask_in(vertices: VertexSet | Iterable[int], n: int) -> int:
     """``mask_of(vertices)``, refusing vertices outside 0..n-1."""
     mask = mask_of(vertices)
@@ -146,6 +150,11 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    # Set once in __post_init__, not cached on first read: on CPython 3.11 an
+    # attribute added later moves the instance out of its inline attribute
+    # storage, after which every ``g.adj`` read on it is about 3x slower.
+    m: int = field(init=False, repr=False, compare=False)
+    vertex_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -158,9 +167,12 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has out-of-range neighbors")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry: check each edge from its smaller endpoint.
+        # Symmetry: check each edge from its smaller endpoint, then require the
+        # rows to hold every edge twice, so none is listed only by its larger one.
+        upper = 0
         for v, row in enumerate(self.adj):
             w = row >> (v + 1)
+            upper += w.bit_count()
             base = v + 1
             while w:
                 low = w & -w
@@ -168,14 +180,12 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
                 w ^= low
-
-    @cached_property
-    def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    @property
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
+        if sum(row.bit_count() for row in self.adj) != 2 * upper:
+            v, u = next((v, u) for u, row in enumerate(self.adj) for v in iter_bits(row)
+                        if not (self.adj[v] >> u) & 1)
+            raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        object.__setattr__(self, "m", upper)
+        object.__setattr__(self, "vertex_mask", full)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -20,6 +20,7 @@ from .graphs import (
     VertexSet,
     _common_mask,
     _greedy_independent,
+    _is_int_list,
     _submasks,
     independence_number_exact,
     iter_bits,
@@ -520,10 +521,12 @@ def partition_to_json(partition: BicliquePartition) -> dict:
 def partition_from_json(data: dict, host: Graph) -> BicliquePartition:
     if data.get("n") != host.n:
         raise ValueError(f"partition is for n={data.get('n')}, graph has n={host.n}")
-    parts = tuple(
-        Biclique(mask_of(entry["a"]), mask_of(entry["b"])) for entry in data["parts"]
-    )
-    return BicliquePartition(host, parts)
+    parts = data["parts"]
+    if not (isinstance(parts, list) and all(
+        isinstance(e, dict) and _is_int_list(e.get("a")) and _is_int_list(e.get("b")) for e in parts
+    )):
+        raise ValueError('partition JSON needs "parts": [{"a": [int, ...], "b": [int, ...]}, ...]')
+    return BicliquePartition(host, tuple(Biclique(mask_of(e["a"]), mask_of(e["b"])) for e in parts))
 
 
 def solve_result_to_json(result: SolveResult) -> dict:

@@ -19,7 +19,6 @@ from .graphs import Graph
 
 __all__ = [
     "InertiaSignature",
-    "adjacency_matrix",
     "default_tolerance",
     "inertia",
     "inertia_from_rows",
@@ -59,11 +58,6 @@ def _rows_to_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     for v in range(n):
         buf[v] = np.frombuffer(rows[v].to_bytes(nbytes, "little"), dtype=np.uint8)
     return np.unpackbits(buf, axis=1, bitorder="little")[:, :n].astype(np.float64)
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix of g."""
-    return _rows_to_matrix(g.adj, g.n)
 
 
 def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> InertiaSignature:

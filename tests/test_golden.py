@@ -6,9 +6,19 @@ together with a CHANGES.md entry saying which result changed and why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from bipart.coverage import (
+    CoverageFamily,
+    PeelingError,
+    blocked_edge_count,
+    exclusive_split,
+    peel_witness,
+    shielded_edge_count,
+    uncovered_lower_bound,
+)
 from bipart.graphs import GnpSpec, independence_number_exact, sample_gnp
 from bipart.harness import ExperimentConfig, emit_report, run_experiment
 from bipart.partition import (
@@ -92,4 +102,86 @@ def test_witness_digests():
     outputs = _witness_outputs()
     for key, expected in WITNESS_DIGESTS.items():
         got = hashlib.sha256(json.dumps(outputs[key], sort_keys=True).encode()).hexdigest()
+        assert got == expected, key
+
+
+CERTIFICATE_GRAPHS = [
+    (n, p, seed) for n in (12, 24, 40, 60) for p, seed in ((0.1, 4), (0.3, 1), (0.5, 2), (0.7, 3))
+]
+# At n <= 60 only base 4.0 gives the witness peeling two or more steps, so
+# witness_bound > 0; only base 1.001 puts 2-sets in the small tier, which
+# brings in the degree cap.
+CERTIFICATE_BASES = (1.001, 1.1, 2.0, 4.0)
+
+CERTIFICATE_DIGESTS = {
+    "exclusive_split": "44090259fa15926da6a327de5d9ac2edae144c7113d3659a20b5aec9a22243b3",
+    "blocked_edge_count": "111ad976cdfc2a32b27f994867eb55c0cd6295b9c545d2052b6b86746cb23aba",
+    "uncovered_lower_bound": "1ab4216ceff4b6d89cb19b381c2f075747b7a34e1ea58b15add2ed48f53aab58",
+    "peel_witness": "1685209918fcb471e027c9f08d54db0e5c6ac3ae81df7fba0f87503c41c2bb4e",
+    "shielded_edge_count": "9556287e3b1810c4c0cfbce4b8169639f182d9ea3453def2167aa65c35e67b1e",
+}
+
+
+def _outcome(fn, *args, **kwargs):
+    """The call's result, or the type and message of the ValueError or PeelingError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, PeelingError) as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "steps", None)]
+
+
+def _witness_json(witness):
+    if witness is None:
+        return None
+    return [list(witness.order), [[v, list(gs)] for v, gs in witness.guards.items()]]
+
+
+def _certificate_outputs() -> dict[str, list]:
+    """Pair and witness certificates on CERTIFICATE_GRAPHS, with seeded families."""
+    out: dict[str, list] = {key: [] for key in CERTIFICATE_DIGESTS}
+    for n, p, seed in CERTIFICATE_GRAPHS:
+        g = sample_gnp(GnpSpec(n, p, seed))
+        rng = random.Random(1000 * n + seed)
+        for trial in range(3):
+            universe = sorted(rng.sample(range(n), rng.randint(n // 2, n)))
+            pairs = [tuple(rng.sample(universe, 2)) for _ in range(rng.randint(1, n // 3))]
+            mixed = pairs[: rng.randint(0, len(pairs))]
+            mixed += [rng.sample(universe, rng.choice((3, 4))) for _ in range(rng.randint(1, n // 6))]
+            fam2 = CoverageFamily.of(universe, pairs)
+            s, t = exclusive_split(fam2)
+            out["exclusive_split"].append([s.as_tuple(), t.as_tuple()])
+            out["blocked_edge_count"].append(blocked_edge_count(g, fam2, s, t))
+            # Three arbitrary vertices: one not in exactly one 2-set raises.
+            probe = rng.sample(universe, 3)
+            out["blocked_edge_count"].append(_outcome(blocked_edge_count, g, fam2, probe))
+            for sets in (pairs, mixed):
+                fam = CoverageFamily.of(universe, sets)
+                for base in CERTIFICATE_BASES:
+                    b = uncovered_lower_bound(g, range(n), fam, 1.0, base, trial)
+                    fields = [b.value, b.pair_bound, b.witness_bound, b.s, b.t]
+                    out["uncovered_lower_bound"].append(fields + [_witness_json(b.witness), b.note])
+                order = rng.sample(universe, len(universe))
+                for degree_bound in (None, 2, 3):
+                    witness = _outcome(peel_witness, fam, universe, 4.0, order, degree_bound)
+                    if isinstance(witness, list):
+                        out["peel_witness"].append(witness)
+                        continue
+                    out["peel_witness"].append(_witness_json(witness))
+                    out["shielded_edge_count"].append(
+                        shielded_edge_count(g, universe, witness.order, witness.guards)
+                    )
+                w = rng.sample(universe, len(universe) // 2)
+                rest = [v for v in universe if v not in w]
+                guards = {v: rest[i::len(w)][:2] for i, v in enumerate(w[:len(rest)])}
+                shielded = _outcome(shielded_edge_count, g, universe, w, guards)
+                out["shielded_edge_count"].append(shielded)
+    return out
+
+
+def test_certificate_digests():
+    outputs = _certificate_outputs()
+    assert any(b[2] > 0 for b in outputs["uncovered_lower_bound"])  # the witness route counts
+    assert any(b[1] > 0 for b in outputs["uncovered_lower_bound"])  # and so does the pair route
+    for key, expected in CERTIFICATE_DIGESTS.items():
+        got = hashlib.sha256(json.dumps(outputs[key]).encode()).hexdigest()
         assert got == expected, key

@@ -29,6 +29,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="asymmetric"):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize(
+        "adj, pair", [((0, 0b1), "0 and 1"), ((0, 0, 0b1), "0 and 2")], ids=["n2", "n3"]
+    )
+    def test_constructor_rejects_edge_listed_only_by_larger_endpoint(self, adj, pair):
+        with pytest.raises(ValueError, match=f"asymmetric adjacency between {pair}"):
+            Graph(len(adj), adj)
+
     def test_constructor_rejects_loops(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(1, (0b1,))

@@ -539,3 +539,19 @@ class TestPartitionJson:
         data = {"n": 4, "parts": [{"a": [-1], "b": [0, 1]}]}
         with pytest.raises(ValueError, match="nonnegative"):
             partition_from_json(data, g)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [{"a": [True], "b": [0]}],
+            [{"a": [0.5], "b": [1]}],
+            [{"a": 0, "b": [1, 2]}],
+            [{"a": [0]}],
+            [[0, 1]],
+            5,
+        ],
+        ids=["bool", "float", "number-side", "missing-side", "part-a-list", "parts-a-number"],
+    )
+    def test_wrong_typed_json_rejected(self, parts):
+        with pytest.raises(ValueError, match="partition JSON needs"):
+            partition_from_json({"n": 3, "parts": parts}, Graph.complete(3))
