@@ -185,11 +185,10 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def experiment(config_path: str, out_dir: str) -> None:
     """Run a seeded experiment and write JSON and CSV reports."""
-    try:
-        cfg = ExperimentConfig.from_dict(_load_json(config_path))
+    try:  # a config its runner refuses is a bad config too
+        report = run_experiment(ExperimentConfig.from_dict(_load_json(config_path)))
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad config: {exc}")
-    report = run_experiment(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_report(report, "json", out / f"{report.kind}.json")

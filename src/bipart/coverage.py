@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _common_mask,
+    _is_int_list,
     _submasks,
     common_neighborhood,
     induced_subgraph,
@@ -98,10 +99,6 @@ class CoverageFamily:
 
 def family_to_json(fam: CoverageFamily) -> dict:
     return {"universe": list(fam.universe), "sets": [list(s) for s in fam.sets]}
-
-
-def _is_int_list(x: object) -> bool:
-    return isinstance(x, list) and all(type(v) is int for v in x)
 
 
 def family_from_json(data: dict) -> CoverageFamily:
@@ -669,7 +666,13 @@ def uncovered_lower_bound(
     the small tier, so an edge counted by either certificate has no covering
     left side at all outside the cases the certificate itself excludes.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if base <= 1:
+        raise ValueError("logarithm base must exceed 1")
     u_mask = mask_of(universe)
+    if u_mask >> g.n:
+        raise ValueError("universe leaves the graph")
     if mask_of(fam.universe) & ~u_mask:
         raise ValueError("family universe leaves the given universe")
     if not fam.sets:

@@ -5,7 +5,8 @@ bitset, which keeps the neighborhood intersections at the heart of every
 search in this package cheap up to a few thousand vertices.  Graphs are
 immutable after construction and safe to share across threads.  This module
 also holds the private mask helpers (submasks, common neighborhoods, greedy
-independent passes) that the other modules share.
+independent passes, and ``_packed``, the one bridge from bitmask rows to a
+packed numpy bit array) that the other modules share.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from ``random.Random(seed)`` (the Mersenne
@@ -20,6 +21,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -118,6 +121,13 @@ def _mask_in(vertices: VertexSet | Iterable[int], n: int) -> int:
     return mask
 
 
+def _packed(rows: Sequence[int], n: int) -> np.ndarray:
+    """Rows as an (n, ceil(n/8)) uint8 array of little-endian bits; each row must fit."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
+
+
 def _submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, from mask itself down to 0."""
     sub = mask
@@ -167,34 +177,23 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has out-of-range neighbors")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry: check each edge from its smaller endpoint, then require the
-        # rows to hold every edge twice, so none is listed only by its larger one.
-        upper = 0
-        for v, row in enumerate(self.adj):
-            w = row >> (v + 1)
-            upper += w.bit_count()
-            base = v + 1
-            while w:
-                low = w & -w
-                u = base + low.bit_length() - 1
-                if not (self.adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
-                w ^= low
-        if sum(row.bit_count() for row in self.adj) != 2 * upper:
-            v, u = next((v, u) for u, row in enumerate(self.adj) for v in iter_bits(row)
-                        if not (self.adj[v] >> u) & 1)
-            raise ValueError(f"asymmetric adjacency between {v} and {u}")
-        object.__setattr__(self, "m", upper)
+        # Symmetry: each block of 8 rows against the same 8 columns, so no n x n
+        # matrix is built.  A failing graph is scanned for the pair to report: the
+        # first listed only by its smaller endpoint, else only by its larger one.
+        packed = _packed(self.adj, self.n)
+        for j in range(packed.shape[1]):
+            block = np.unpackbits(packed[8 * j:8 * j + 8], axis=1, count=self.n, bitorder="little")
+            cols = np.unpackbits(packed[:, j:j + 1], axis=1, bitorder="little")
+            if not np.array_equal(block, cols[:, :len(block)].T):
+                one_way = [(v, u) for v, row in enumerate(self.adj) for u in iter_bits(row)
+                           if not (self.adj[u] >> v) & 1]
+                v, u = sorted(min(one_way, key=lambda vu: vu[0] > vu[1]))
+                raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        object.__setattr__(self, "m", sum(row.bit_count() for row in self.adj) // 2)
         object.__setattr__(self, "vertex_mask", full)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.adj[u] >> v) & 1 == 1
-
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.adj[v], self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""

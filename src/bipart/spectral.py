@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _packed
 
 __all__ = [
     "InertiaSignature",
@@ -52,14 +52,6 @@ def default_tolerance(n: int) -> float:
     return 1e-8 * max(n, 1)
 
 
-def _rows_to_matrix(rows: Sequence[int], n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    buf = np.empty((n, nbytes), dtype=np.uint8)
-    for v in range(n):
-        buf[v] = np.frombuffer(rows[v].to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(buf, axis=1, bitorder="little")[:, :n].astype(np.float64)
-
-
 def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> InertiaSignature:
     """Inertia of the graph given directly by adjacency bitmask rows."""
     if tol is None:
@@ -68,8 +60,9 @@ def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> 
         raise ValueError("tolerance must be positive")
     if n == 0:
         return InertiaSignature(0, 0, 0, tol)
+    matrix = np.unpackbits(_packed(rows, n), axis=1, count=n, bitorder="little")
     try:
-        eigenvalues = np.linalg.eigvalsh(_rows_to_matrix(rows, n))
+        eigenvalues = np.linalg.eigvalsh(matrix.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigenvalue computation failed to converge: {exc}") from exc
     n_plus = int(np.count_nonzero(eigenvalues > tol))

@@ -12,6 +12,36 @@ from itertools import combinations, permutations
 from bipart.graphs import Graph, iter_bits, mask_of
 
 
+def graph_rows_reference(n: int, adj) -> int:
+    """Reference for the checks of the ``Graph`` constructor, pair by pair.
+
+    Raises the same ValueError, found in the same order, that ``Graph(n, adj)``
+    raises, and otherwise returns the edge count.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if len(adj) != n:
+        raise ValueError("adjacency must have one row per vertex")
+    for v, row in enumerate(adj):
+        if row < 0 or row >= 1 << n:
+            raise ValueError(f"adjacency row {v} has out-of-range neighbors")
+        if (row >> v) & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+
+    def lists(v: int, u: int) -> bool:
+        return (adj[v] >> u) & 1 == 1
+
+    for v in range(n):
+        for u in range(v + 1, n):
+            if lists(v, u) and not lists(u, v):
+                raise ValueError(f"asymmetric adjacency between {v} and {u}")
+    for u in range(n):
+        for v in range(u):
+            if lists(u, v) and not lists(v, u):
+                raise ValueError(f"asymmetric adjacency between {v} and {u}")
+    return sum(lists(v, u) for v in range(n) for u in range(v + 1, n))
+
+
 def alpha_brute(g: Graph) -> int:
     """Maximum independent set size by scanning all 2^n subsets."""
     best = 0

@@ -196,6 +196,19 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"kind": "density", "n": 8, "trials": 1},
+         {"kind": "coverage_soundness", "n": 9, "trials": 1},
+         {"kind": "coverage_soundness", "n": 5, "p": 1.0, "trials": 1}],
+        ids=["density-n-below-16", "coverage-n-above-8", "coverage-base-one"],
+    )
+    def test_config_refused_by_runner_is_usage_error(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "bounds", "n": 10, "p": 0.5, "trials": 3, "seed": 5}))

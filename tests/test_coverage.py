@@ -472,6 +472,23 @@ class TestUncoveredLowerBound:
         bound = uncovered_lower_bound(g, range(4), fam, 1.0, base=4.0, seed=3)
         assert bound.value >= bound.witness_bound >= 0
 
+    @pytest.mark.parametrize(
+        "epsilon, base, match",
+        [(1.0, 1.0, "logarithm base must exceed 1"), (1.0, 0.5, "logarithm base must exceed 1"),
+         (-1.0, 2.0, "epsilon must be positive")],
+    )
+    def test_parameters_checked_on_two_vertex_universe(self, epsilon, base, match):
+        # Two vertices are too few to classify, so the family is never classified.
+        fam = CoverageFamily.of(range(2), [(0, 1)])
+        with pytest.raises(ValueError, match=match):
+            uncovered_lower_bound(Graph.complete(2), range(2), fam, epsilon, base)
+
+    @pytest.mark.parametrize("sets", [[], [(0, 3)], [(0, 1, 2, 3)]], ids=["empty", "pair", "quad"])
+    def test_universe_outside_graph_refused(self, sets):
+        fam = CoverageFamily.of(range(5), sets)
+        with pytest.raises(ValueError, match="universe leaves the graph"):
+            uncovered_lower_bound(Graph.complete(3), range(5), fam, 1.0, 2.0)
+
     def test_never_exceeds_true_minimum(self):
         for s in range(80):
             n = 5 + s % 4

@@ -21,7 +21,40 @@ from bipart.graphs import (
 )
 
 from conftest import gnp_graphs
-from oracles import alpha_brute, balanced_side_brute
+from oracles import alpha_brute, balanced_side_brute, graph_rows_reference
+
+
+@st.composite
+def mangled_rows(draw):
+    """Rows of a random simple graph on 0..20 vertices, then up to 3 defects:
+    a flipped bit (one-way edge either way, or a self-loop), a bit at or past
+    n, a negative row, or a self-loop."""
+    n = draw(st.integers(0, 20))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        v = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["flip", "beyond", "negative", "loop"]))
+        if kind == "flip":
+            rows[v] ^= 1 << draw(st.integers(0, n - 1))
+        elif kind == "beyond":
+            rows[v] |= 1 << draw(st.integers(n, n + 9))
+        elif kind == "negative":
+            rows[v] = -rows[v] - 1
+        else:
+            rows[v] |= 1 << v
+    return n, tuple(rows)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestGraphBasics:
@@ -39,6 +72,14 @@ class TestGraphBasics:
     def test_constructor_rejects_loops(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(1, (0b1,))
+
+    @settings(max_examples=400, deadline=None)
+    @given(mangled_rows())
+    def test_constructor_matches_pairwise_reference(self, case):
+        n, rows = case
+        expected = _outcome(graph_rows_reference, n, rows)
+        got = _outcome(lambda: Graph(n, rows).m)
+        assert got == expected
 
     def test_constructor_rejects_out_of_range(self):
         with pytest.raises(ValueError):
