@@ -6,7 +6,9 @@ search in this package cheap up to a few thousand vertices.  Graphs are
 immutable after construction and safe to share across threads.  This module
 also holds the private mask helpers (submasks, common neighborhoods, greedy
 independent passes, and ``_packed``, the one bridge from bitmask rows to a
-packed numpy bit array) that the other modules share.
+packed numpy bit array) that the other modules share.  ``_packed`` feeds the
+symmetry check of ``Graph``, the inertia in ``spectral`` and the neighbor
+counts of ``_swap_polish``.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from ``random.Random(seed)`` (the Mersenne
@@ -459,38 +461,50 @@ def _beam_with_exact_finish(
 
 
 def _swap_polish(
-    adj: Sequence[int], n: int, smask: int, rng: random.Random, moves: int
+    adj: Sequence[int], n: int, packed: np.ndarray, smask: int, rng: random.Random, moves: int
 ) -> tuple[int, int]:
-    """Plateau walk with (1,1)-swaps and free-vertex insertions on an independent set."""
-    cnt = [(adj[v] & smask).bit_count() for v in range(n)]
+    """Plateau walk with (1,1)-swaps and free-vertex insertions on an independent set.
+
+    ``packed`` is ``_packed(adj, n)``.  ``cnt[v]`` counts the neighbors of v in
+    the set and moves by one unpacked row per insertion or removal.  The walk
+    draws exactly as a walk over Python lists would: ``np.flatnonzero`` lists
+    free and tight vertices in ascending order, and ``.tolist()`` hands
+    ``rng.choice`` a list of Python ints, so it picks the same vertex with the
+    same draw (and ``1 << v`` cannot overflow a numpy integer).
+    """
     s = smask
+    inside = np.zeros(n, dtype=bool)
+    inside[list(iter_bits(s))] = True
+    rows = np.unpackbits(packed[inside], axis=1, count=n, bitorder="little")
+    cnt = rows.sum(axis=0, dtype=np.int32)
 
     def add(v: int) -> None:
-        nonlocal s
+        nonlocal s, cnt
         s |= 1 << v
-        for u in iter_bits(adj[v]):
-            cnt[u] += 1
+        inside[v] = True
+        cnt += np.unpackbits(packed[v], count=n, bitorder="little")
 
     def remove(v: int) -> None:
-        nonlocal s
+        nonlocal s, cnt
         s &= ~(1 << v)
-        for u in iter_bits(adj[v]):
-            cnt[u] -= 1
+        inside[v] = False
+        cnt -= np.unpackbits(packed[v], count=n, bitorder="little")
 
     best_mask, best_size = s, s.bit_count()
     stale = 0
     for _ in range(moves):
-        frees = [v for v in range(n) if cnt[v] == 0 and not (s >> v) & 1]
-        if frees:
-            add(rng.choice(frees))
+        outside = ~inside
+        frees = np.flatnonzero((cnt == 0) & outside)
+        if frees.size:
+            add(rng.choice(frees.tolist()))
             if s.bit_count() > best_size:
                 best_size, best_mask = s.bit_count(), s
                 stale = 0
             continue
-        tights = [v for v in range(n) if cnt[v] == 1 and not (s >> v) & 1]
-        if not tights:
+        tights = np.flatnonzero((cnt == 1) & outside)
+        if not tights.size:
             break
-        v = rng.choice(tights)
+        v = rng.choice(tights.tolist())
         u = ((adj[v] & s) & -(adj[v] & s)).bit_length() - 1
         remove(u)
         add(v)
@@ -525,6 +539,7 @@ def independent_set_search(
     if n == 0:
         return VertexSet(0, 0)
     adj = g.adj
+    packed = _packed(adj, n)
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     for _ in range(rounds):
@@ -535,7 +550,7 @@ def independent_set_search(
             best_size, best_mask = size, mask
         polish_from = mask or best_mask
         if polish_from:
-            size2, mask2 = _swap_polish(adj, n, polish_from, rng, polish_moves)
+            size2, mask2 = _swap_polish(adj, n, packed, polish_from, rng, polish_moves)
             if size2 > best_size:
                 best_size, best_mask = size2, mask2
     if not best_mask:  # edgeless or tiny graphs: fall back to plain greedy

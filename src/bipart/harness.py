@@ -65,6 +65,10 @@ def derive_seed(master: int, index: int) -> int:
     return x
 
 
+_COUNT_FIELDS = ("search_rounds", "density_subsets", "biclique_budget", "tau_node_budget",
+                 "alpha_node_budget", "coverage_max_sets")
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for one experiment run; field names mirror the config-file JSON.
@@ -99,6 +103,12 @@ class ExperimentConfig:
             raise ValueError("p must satisfy 0 < p <= 1")
         if self.kind not in {"bounds", "density", "biclique_side", "coverage_soundness"}:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # A negative count or budget would make the checks that read it pass vacuously.
+        negative = [name for name in _COUNT_FIELDS if getattr(self, name) < 0]
+        if negative:
+            raise ValueError(f"{', '.join(negative)} must be nonnegative")
+        if self.kind == "density" and self.density_subsets < 1:
+            raise ValueError("density check needs density_subsets >= 1")
 
     @property
     def in_regime(self) -> bool:

@@ -7,6 +7,7 @@ must stay decoupled from the code paths they check.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from bipart.graphs import Graph, iter_bits, mask_of
@@ -274,3 +275,56 @@ def validate_partition_reference(g: Graph, partition) -> list[str]:
         if e not in seen:
             issues.append(f"uncovered-edge: {e}")
     return issues
+
+
+def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counter | None = None):
+    """Reference for ``bipart.graphs._swap_polish``: the list-based plateau walk.
+
+    Returns the same (size, mask) and consumes the same ``rng`` draws.  When
+    ``hits`` is given, it counts the branches taken: "insert" (a free vertex
+    added), "swap", "no-tight" (the walk stops) and "kick" (a stale plateau).
+    """
+    hits = Counter() if hits is None else hits
+    cnt = [(adj[v] & smask).bit_count() for v in range(n)]
+    s = smask
+
+    def add(v: int) -> None:
+        nonlocal s
+        s |= 1 << v
+        for u in iter_bits(adj[v]):
+            cnt[u] += 1
+
+    def remove(v: int) -> None:
+        nonlocal s
+        s &= ~(1 << v)
+        for u in iter_bits(adj[v]):
+            cnt[u] -= 1
+
+    best_mask, best_size = s, s.bit_count()
+    stale = 0
+    for _ in range(moves):
+        frees = [v for v in range(n) if cnt[v] == 0 and not (s >> v) & 1]
+        if frees:
+            hits["insert"] += 1
+            add(rng.choice(frees))
+            if s.bit_count() > best_size:
+                best_size, best_mask = s.bit_count(), s
+                stale = 0
+            continue
+        tights = [v for v in range(n) if cnt[v] == 1 and not (s >> v) & 1]
+        if not tights:
+            hits["no-tight"] += 1
+            break
+        hits["swap"] += 1
+        v = rng.choice(tights)
+        u = ((adj[v] & s) & -(adj[v] & s)).bit_length() - 1
+        remove(u)
+        add(v)
+        stale += 1
+        if stale > 350:
+            hits["kick"] += 1
+            members = list(iter_bits(s))
+            for x in rng.sample(members, min(2, len(members))):
+                remove(x)
+            stale = 0
+    return best_size, best_mask

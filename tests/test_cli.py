@@ -209,6 +209,25 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"kind": "density", "n": 40, "density_subsets": -3},
+         {"kind": "density", "n": 40, "density_subsets": 0},
+         {"kind": "bounds", "n": 80, "trials": 1, "search_rounds": -1},
+         {"kind": "bounds", "n": 40, "trials": 1, "alpha_node_budget": -1},
+         {"kind": "bounds", "n": 8, "trials": 1, "tau_node_budget": -1},
+         {"kind": "biclique_side", "n": 20, "trials": 1, "biclique_budget": -1},
+         {"kind": "coverage_soundness", "n": 6, "trials": 1, "coverage_max_sets": -1}],
+        ids=["density-subsets-negative", "density-subsets-zero", "search-rounds", "alpha-budget",
+             "tau-budget", "biclique-budget", "coverage-max-sets"],
+    )
+    def test_negative_count_or_budget_is_usage_error(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "bad config" in result.output
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "bounds", "n": 10, "p": 0.5, "trials": 3, "seed": 5}))

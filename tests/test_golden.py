@@ -19,7 +19,7 @@ from bipart.coverage import (
     shielded_edge_count,
     uncovered_lower_bound,
 )
-from bipart.graphs import GnpSpec, independence_number_exact, sample_gnp
+from bipart.graphs import GnpSpec, independence_number_exact, independent_set_search, sample_gnp
 from bipart.harness import ExperimentConfig, emit_report, run_experiment
 from bipart.partition import (
     BicliquePartition,
@@ -54,15 +54,33 @@ GOLDEN = [
         "c6bece6cd7828bf967ece0beb228ab72324ec81a05149f4daced66a76e4dad53",
         "d81eff22d361427879839eeeac899791b8dacd49c120ef555ac52f1e203b24cc",
     ),
+    (  # n > alpha_exact_max_n, so alpha comes from independent_set_search
+        dict(kind="bounds", n=100, p=0.5, trials=3, seed=42),
+        "936f77e6f74a291bd1d949767cb985e4323477eb5e908386b70167787c49206a",
+        "90a80852e73e99ea891772cc145db5d15ce78846a8a9c6748fb30bd3544f98dd",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config, json_sha, csv_sha", GOLDEN, ids=[c["kind"] for c, _, _ in GOLDEN])
+@pytest.mark.parametrize(
+    "config, json_sha, csv_sha", GOLDEN, ids=[c["kind"] for c, _, _ in GOLDEN[:4]] + ["bounds-n100"]
+)
 def test_report_digests(config, json_sha, csv_sha):
     report = run_experiment(ExperimentConfig(**config))
     assert report.violations == 0
     for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
         assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == expected, fmt
+
+
+SEARCH_GRAPHS = [(n, p, seed) for n in (80, 150, 300) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
+SEARCH_DIGEST = "ffa95bc1ec3ed1f2c25699f594f984dfadddaa7dc7e8d2483a9d8a969029f6d3"
+
+
+def test_search_digest():
+    """independent_set_search masks above the n <= 60 the other digests reach."""
+    masks = [independent_set_search(sample_gnp(GnpSpec(n, p, seed)), seed).mask
+             for n, p, seed in SEARCH_GRAPHS]
+    assert hashlib.sha256(json.dumps(masks).encode()).hexdigest() == SEARCH_DIGEST
 
 
 WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from bipart.graphs import (
     format_edge_list,
     sample_gnp,
 )
+from bipart.graphs import _beam_with_exact_finish, _packed, _swap_polish
 
 from conftest import gnp_graphs
-from oracles import alpha_brute, balanced_side_brute, graph_rows_reference
+from oracles import alpha_brute, balanced_side_brute, graph_rows_reference, swap_polish_reference
 
 
 @st.composite
@@ -245,6 +248,28 @@ class TestIndependence:
             if v not in found:
                 assert g.adj[v] & found.mask
         assert len(found) >= len(independent_set_greedy(g, 4))
+
+    POLISH_GRAPHS = [
+        (354, 0.1, 1), (102, 0.1, 11), (309, 0.3, 3), (194, 0.3, 13), (79, 0.5, 5),
+        (61, 0.5, 15), (135, 0.7, 7), (400, 0.7, 17), (361, 0.9, 9), (301, 0.9, 19),
+    ]
+
+    def test_swap_polish_matches_list_reference(self):
+        """Same (size, mask) and the same Random state after the call as the list walk."""
+        hits = Counter()
+        for n, p, seed in self.POLISH_GRAPHS:
+            g = sample_gnp(GnpSpec(n, p, seed))
+            packed = _packed(g.adj, n)
+            greedy = independent_set_greedy(g, seed).mask
+            _, beam = _beam_with_exact_finish(g.adj, n, random.Random(seed), 8, 16, 2, 20, 0)
+            for start in (greedy, beam):
+                for moves in (0, 1, 40, 1600):
+                    ref_rng, rng = random.Random(seed + moves), random.Random(seed + moves)
+                    expected = swap_polish_reference(g.adj, n, start, ref_rng, moves, hits)
+                    got = _swap_polish(g.adj, n, packed, start, rng, moves)
+                    assert got == expected, (n, p, seed, moves)
+                    assert rng.getstate() == ref_rng.getstate(), (n, p, seed, moves)
+        assert {"insert", "swap", "no-tight", "kick"} <= set(hits), hits
 
 
 class TestDensityDeviation:

@@ -293,6 +293,7 @@ def enumerate_partitions(g, max_parts):
 class TestNormalizeStarsFirst:
     def assert_postconditions(self, g, before, after):
         assert after.is_valid()
+        assert validate_partition_reference(g, after) == []
         assert len(after.parts) <= len(before.parts)
         stars_before = sum(1 for pt in before.parts if pt.is_star)
         stars_after = sum(1 for pt in after.parts if pt.is_star)
