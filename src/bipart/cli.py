@@ -190,9 +190,12 @@ def experiment(config_path: str, out_dir: str) -> None:
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad config: {exc}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_report(report, "json", out / f"{report.kind}.json")
-    emit_report(report, "csv", out / f"{report.kind}.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        emit_report(report, "json", out / f"{report.kind}.json")
+        emit_report(report, "csv", out / f"{report.kind}.csv")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write reports to {out}: {exc}")
     click.echo(
         f"{report.kind}: {len(report.records)} trials, {report.violations} violations "
         f"-> {out / (report.kind + '.json')}"

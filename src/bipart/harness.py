@@ -1,10 +1,11 @@
 """Seeded experiment runner with machine-readable, byte-reproducible reports.
 
-Each experiment samples G(n, p) trials from per-trial sub-seeds derived
-from (master seed, trial index), so runs are order-independent and any
-rerun of the same config produces an identical report.  Wall-clock timings
-are kept on the in-memory records but never serialized, precisely to keep
-emitted reports byte-identical across reruns.
+All four experiments run their trials through one loop, ``_run_trials``:
+trial t samples G(n, p) from the sub-seed ``derive_seed(seed, t)``, so runs
+are order-independent and any rerun of the same config produces an
+identical report.  Each record's ``elapsed`` spans the sampling and the
+trial body; it stays in memory and is never serialized, to keep emitted
+reports byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -101,14 +102,12 @@ class ExperimentConfig:
             raise ValueError("n and trials must be nonnegative")
         if not (0.0 < self.p <= 1.0):
             raise ValueError("p must satisfy 0 < p <= 1")
-        if self.kind not in {"bounds", "density", "biclique_side", "coverage_soundness"}:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        # A negative count or budget would make the checks that read it pass vacuously.
-        negative = [name for name in _COUNT_FIELDS if getattr(self, name) < 0]
-        if negative:
-            raise ValueError(f"{', '.join(negative)} must be nonnegative")
-        if self.kind == "density" and self.density_subsets < 1:
-            raise ValueError("density check needs density_subsets >= 1")
+        # A zero or negative count or budget silently weakens or vacates the checks that read it.
+        too_small = [name for name in _COUNT_FIELDS if getattr(self, name) < 1]
+        if too_small:
+            raise ValueError(f"{', '.join(too_small)} must be >= 1")
 
     @property
     def in_regime(self) -> bool:
@@ -177,6 +176,25 @@ def _mean(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
+def _run_trials(cfg: ExperimentConfig, trial) -> list[TrialRecord]:
+    """The one trial loop: trial t samples G(n, p) from ``derive_seed(cfg.seed, t)``
+    and ``trial(g, rec)`` fills its record.  ``elapsed`` spans sampling and body."""
+    records: list[TrialRecord] = []
+    for t in range(cfg.trials):
+        sub = derive_seed(cfg.seed, t)
+        t0 = time.perf_counter()
+        rec = TrialRecord(index=t, sub_seed=sub)
+        trial(sample_gnp(GnpSpec(cfg.n, cfg.p, sub)), rec)
+        rec.elapsed = time.perf_counter() - t0
+        records.append(rec)
+    return records
+
+
+def _report(kind: str, cfg: ExperimentConfig, records: list[TrialRecord],
+            aggregates: dict) -> Report:
+    return Report(kind, cfg.to_dict(), records, aggregates, sum(len(r.violations) for r in records))
+
+
 def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
     """Per trial: sample G(n, p), estimate alpha, compute the inertia lower
     bound and the n - alpha upper bound, and solve exactly when n is small.
@@ -185,19 +203,14 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
     value outside the sandwich) on any trial is counted; on exact trials the
     count must be zero.
     """
-    records: list[TrialRecord] = []
-    total_violations = 0
     n, p = cfg.n, cfg.p
-    for t in range(cfg.trials):
-        sub = derive_seed(cfg.seed, t)
-        t0 = time.perf_counter()
-        g = sample_gnp(GnpSpec(n, p, sub))
-        rec = TrialRecord(index=t, sub_seed=sub)
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
         if n <= cfg.alpha_exact_max_n:
             ar = independence_number_exact(g, cfg.alpha_node_budget)
             rec.alpha, rec.alpha_exact = ar.value, ar.complete
         else:
-            found = independent_set_search(g, sub, rounds=cfg.search_rounds)
+            found = independent_set_search(g, rec.sub_seed, rounds=cfg.search_rounds)
             rec.alpha, rec.alpha_exact = len(found), False
         rec.gp_bound = graham_pollak_lower_bound(g)
         rec.tau_upper = n - rec.alpha
@@ -219,15 +232,13 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
                 rec.violations.append("exact value above n - alpha")
             if rec.alon_upper is not None and rec.tau_exact > rec.alon_upper:
                 rec.violations.append("exact value above n - beta + 1")
-        total_violations += len(rec.violations)
-        rec.elapsed = time.perf_counter() - t0
-        records.append(rec)
 
-    alphas = [r.alpha for r in records if r.alpha is not None]
-    target = None
+    records = _run_trials(cfg, trial)
+    target = threshold = None
     if 0 < p < 1 and n > 1:
         target = 2.0 * math.log(n) / math.log(1.0 / (1.0 - p))
-    mean_alpha = _mean(alphas)
+        threshold = cfg.c * (math.log(n) / math.log(1.0 / p)) ** (3.0 + cfg.epsilon)
+    mean_alpha = _mean(r.alpha for r in records if r.alpha is not None)
     aggregates = {
         "trials": cfg.trials,
         "in_regime": cfg.in_regime,
@@ -237,13 +248,9 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
         "mean_gp_bound": _mean(r.gp_bound for r in records if r.gp_bound is not None),
         "mean_tau_upper": _mean(r.tau_upper for r in records if r.tau_upper is not None),
         "exact_trials": sum(1 for r in records if r.tau_exact is not None),
-        "regime_threshold": (
-            cfg.c * (math.log(n) / math.log(1.0 / p)) ** (3.0 + cfg.epsilon)
-            if 0 < p < 1 and n > 1
-            else None
-        ),
+        "regime_threshold": threshold,
     }
-    return Report("bounds", cfg.to_dict(), records, aggregates, total_violations)
+    return _report("bounds", cfg, records, aggregates)
 
 
 def run_density_check(cfg: ExperimentConfig) -> Report:
@@ -255,37 +262,30 @@ def run_density_check(cfg: ExperimentConfig) -> Report:
     """
     if cfg.n < 16:
         raise ValueError("density check needs n >= 16")
-    records: list[TrialRecord] = []
-    total_violations = 0
     smin = max(1, math.ceil(math.sqrt(math.log(cfg.n))))
-    overall = 0.0
-    for t in range(cfg.trials):
-        sub = derive_seed(cfg.seed, t)
-        t0 = time.perf_counter()
-        g = sample_gnp(GnpSpec(cfg.n, cfg.p, sub))
-        rng = random.Random(derive_seed(sub, 1))
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        rng = random.Random(derive_seed(rec.sub_seed, 1))
         worst = 0.0
         for _ in range(cfg.density_subsets):
             size = rng.randint(smin, cfg.n)
             subset = rng.sample(range(cfg.n), size)
             worst = max(worst, density_deviation(g, subset, cfg.p))
-        rec = TrialRecord(index=t, sub_seed=sub, density_max_c=worst)
+        rec.density_max_c = worst
         if worst >= cfg.density_ceiling:
             rec.violations.append(
                 f"density constant {worst:.4f} at or above ceiling {cfg.density_ceiling}"
             )
-        total_violations += len(rec.violations)
-        overall = max(overall, worst)
-        rec.elapsed = time.perf_counter() - t0
-        records.append(rec)
+
+    records = _run_trials(cfg, trial)
     aggregates = {
         "trials": cfg.trials,
         "in_regime": cfg.in_regime,
-        "max_constant": overall if records else None,
+        "max_constant": max((r.density_max_c for r in records), default=None),
         "ceiling": cfg.density_ceiling,
         "subset_size_min": smin,
     }
-    return Report("density", cfg.to_dict(), records, aggregates, total_violations)
+    return _report("density", cfg, records, aggregates)
 
 
 def run_biclique_side_check(cfg: ExperimentConfig) -> Report:
@@ -296,36 +296,25 @@ def run_biclique_side_check(cfg: ExperimentConfig) -> Report:
     when p = 1, where the threshold's logarithm base degenerates.
     """
     if cfg.p >= 1.0:
-        aggregates = {
-            "trials": 0,
-            "refused": True,
-            "reason": "threshold undefined at p = 1 (logarithm base 1)",
-        }
-        return Report("biclique_side", cfg.to_dict(), [], aggregates, 0)
+        reason = "threshold undefined at p = 1 (logarithm base 1)"
+        return _report("biclique_side", cfg, [], {"trials": 0, "refused": True, "reason": reason})
     threshold = 2.0 * math.log(cfg.n) / math.log(1.0 / cfg.p) if cfg.n > 1 else 0.0
-    records: list[TrialRecord] = []
-    total_violations = 0
-    max_side = 0
-    for t in range(cfg.trials):
-        sub = derive_seed(cfg.seed, t)
-        t0 = time.perf_counter()
-        g = sample_gnp(GnpSpec(cfg.n, cfg.p, sub))
-        side = max_balanced_biclique_side(g, "heuristic", cfg.biclique_budget, sub)
-        rec = TrialRecord(index=t, sub_seed=sub, biclique_side_max=side)
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        side = max_balanced_biclique_side(g, "heuristic", cfg.biclique_budget, rec.sub_seed)
+        rec.biclique_side_max = side
         if side > threshold:
             rec.violations.append(f"balanced side {side} exceeds threshold {threshold:.4f}")
-        total_violations += len(rec.violations)
-        max_side = max(max_side, side)
-        rec.elapsed = time.perf_counter() - t0
-        records.append(rec)
+
+    records = _run_trials(cfg, trial)
     aggregates = {
         "trials": cfg.trials,
         "refused": False,
         "in_regime": cfg.in_regime,
-        "max_side": max_side if records else None,
+        "max_side": max((r.biclique_side_max for r in records), default=None),
         "threshold": threshold,
     }
-    return Report("biclique_side", cfg.to_dict(), records, aggregates, total_violations)
+    return _report("biclique_side", cfg, records, aggregates)
 
 
 def _min_uncovered_over_maximal_plays(g: Graph, fam: CoverageFamily) -> int:
@@ -354,26 +343,20 @@ def run_coverage_soundness(cfg: ExperimentConfig) -> Report:
     if cfg.n > 8:
         raise ValueError("coverage soundness runs in the tiny regime (n <= 8)")
     base = 1.0 / cfg.p
-    records: list[TrialRecord] = []
-    total_violations = 0
-    for t in range(cfg.trials):
-        sub = derive_seed(cfg.seed, t)
-        t0 = time.perf_counter()
-        g = sample_gnp(GnpSpec(cfg.n, cfg.p, sub))
-        rng = random.Random(derive_seed(sub, 2))
+
+    def trial(g: Graph, rec: TrialRecord) -> None:
+        rng = random.Random(derive_seed(rec.sub_seed, 2))
         universe = list(range(cfg.n))
         sets = []
         if cfg.n >= 2:
-            k = rng.randint(1, max(1, cfg.coverage_max_sets))
-            for _ in range(k):
+            for _ in range(rng.randint(1, cfg.coverage_max_sets)):
                 size = 2 if (rng.random() < 0.7 or cfg.n < 3) else 3
                 sets.append(tuple(sorted(rng.sample(universe, size))))
         fam = CoverageFamily.of(universe, sets)
         f_value, _ = max_coverage_exact(g, universe, fam)
         true_min = g.m - f_value
         maximal_min = _min_uncovered_over_maximal_plays(g, fam)
-        cert = uncovered_lower_bound(g, universe, fam, cfg.epsilon, base, sub)
-        rec = TrialRecord(index=t, sub_seed=sub)
+        cert = uncovered_lower_bound(g, universe, fam, cfg.epsilon, base, rec.sub_seed)
         rec.detail = {
             "certificate": cert.value,
             "pair_bound": cert.pair_bound,
@@ -387,14 +370,13 @@ def run_coverage_soundness(cfg: ExperimentConfig) -> Report:
                 "edges": sorted(g.edges()),
                 "family": [list(s) for s in fam.sets],
             }
-        total_violations += len(rec.violations)
-        rec.elapsed = time.perf_counter() - t0
-        records.append(rec)
+
+    records = _run_trials(cfg, trial)
     aggregates = {
         "trials": cfg.trials,
-        "counterexamples": total_violations,
+        "counterexamples": sum(len(r.violations) for r in records),
     }
-    return Report("coverage_soundness", cfg.to_dict(), records, aggregates, total_violations)
+    return _report("coverage_soundness", cfg, records, aggregates)
 
 
 _RUNNERS = {

@@ -217,9 +217,16 @@ class TestExperiment:
          {"kind": "bounds", "n": 40, "trials": 1, "alpha_node_budget": -1},
          {"kind": "bounds", "n": 8, "trials": 1, "tau_node_budget": -1},
          {"kind": "biclique_side", "n": 20, "trials": 1, "biclique_budget": -1},
-         {"kind": "coverage_soundness", "n": 6, "trials": 1, "coverage_max_sets": -1}],
+         {"kind": "coverage_soundness", "n": 6, "trials": 1, "coverage_max_sets": -1},
+         # Zero is refused too: each of these used to degrade the result without a word.
+         {"kind": "bounds", "n": 80, "trials": 1, "search_rounds": 0},
+         {"kind": "bounds", "n": 40, "trials": 1, "alpha_node_budget": 0},
+         {"kind": "bounds", "n": 8, "trials": 1, "tau_node_budget": 0},
+         {"kind": "biclique_side", "n": 20, "trials": 1, "biclique_budget": 0},
+         {"kind": "coverage_soundness", "n": 6, "trials": 1, "coverage_max_sets": 0}],
         ids=["density-subsets-negative", "density-subsets-zero", "search-rounds", "alpha-budget",
-             "tau-budget", "biclique-budget", "coverage-max-sets"],
+             "tau-budget", "biclique-budget", "coverage-max-sets", "search-rounds-zero",
+             "alpha-budget-zero", "tau-budget-zero", "biclique-budget-zero", "coverage-max-sets-zero"],
     )
     def test_negative_count_or_budget_is_usage_error(self, runner, tmp_path, config):
         cfg = tmp_path / "cfg.json"
@@ -227,6 +234,22 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert "bad config" in result.output
+
+    @pytest.mark.parametrize("where", ["out-under-a-file", "report-path-is-a-directory"])
+    def test_unwritable_out_is_usage_error(self, runner, tmp_path, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "bounds", "n": 4, "trials": 1}))
+        if where == "out-under-a-file":
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "sub"
+        else:
+            out = tmp_path / "rep"
+            (out / "bounds.json").mkdir(parents=True)
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot write reports to" in result.output
+        assert str(out) in result.output
+        assert "Traceback" not in result.output
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -33,41 +33,68 @@ from bipart.partition import (
     strong_partition_number_exact,
 )
 
+def _golden(name, violations, json_sha, csv_sha, **config):
+    return pytest.param(config, violations, json_sha, csv_sha, id=name)
+
+
 GOLDEN = [
-    (
-        dict(kind="bounds", n=9, p=0.5, trials=20, seed=42),
-        "eee07fec7009af7791cf3e8b10040894e1405c3ecdbfa73e5823a81077c91a12",
-        "dad49bd2f5d2d62d56c549ff148d49883154643decc1dda50b1b3c48a101cdb1",
-    ),
-    (
-        dict(kind="coverage_soundness", n=7, p=0.5, trials=50, seed=42),
-        "4ff87dcca53e3badaa26e93f5d78f518caa952c90edae155a6ec2a0d81bda509",
-        "e0ffbdf8a769f16bda53aa2e770e08fe6ba470e126d6f37ec8c0029fc8688736",
-    ),
-    (
-        dict(kind="density", n=60, p=0.5, trials=5, seed=42),
-        "4b376416f8f914030160581d69a903c1f9f968068c8a58c5aa717fe23ef919aa",
-        "c6428884526bf03c0fb6a0dac99c23ce04ea29822d70ef898b821016e7d1a22c",
-    ),
-    (
-        dict(kind="biclique_side", n=60, p=0.5, trials=5, seed=42),
-        "c6bece6cd7828bf967ece0beb228ab72324ec81a05149f4daced66a76e4dad53",
-        "d81eff22d361427879839eeeac899791b8dacd49c120ef555ac52f1e203b24cc",
-    ),
-    (  # n > alpha_exact_max_n, so alpha comes from independent_set_search
-        dict(kind="bounds", n=100, p=0.5, trials=3, seed=42),
-        "936f77e6f74a291bd1d949767cb985e4323477eb5e908386b70167787c49206a",
-        "90a80852e73e99ea891772cc145db5d15ce78846a8a9c6748fb30bd3544f98dd",
-    ),
+    _golden("bounds", 0,
+            "eee07fec7009af7791cf3e8b10040894e1405c3ecdbfa73e5823a81077c91a12",
+            "dad49bd2f5d2d62d56c549ff148d49883154643decc1dda50b1b3c48a101cdb1",
+            kind="bounds", n=9, p=0.5, trials=20, seed=42),
+    _golden("coverage_soundness", 0,
+            "4ff87dcca53e3badaa26e93f5d78f518caa952c90edae155a6ec2a0d81bda509",
+            "e0ffbdf8a769f16bda53aa2e770e08fe6ba470e126d6f37ec8c0029fc8688736",
+            kind="coverage_soundness", n=7, p=0.5, trials=50, seed=42),
+    _golden("density", 0,
+            "4b376416f8f914030160581d69a903c1f9f968068c8a58c5aa717fe23ef919aa",
+            "c6428884526bf03c0fb6a0dac99c23ce04ea29822d70ef898b821016e7d1a22c",
+            kind="density", n=60, p=0.5, trials=5, seed=42),
+    _golden("biclique_side", 0,
+            "c6bece6cd7828bf967ece0beb228ab72324ec81a05149f4daced66a76e4dad53",
+            "d81eff22d361427879839eeeac899791b8dacd49c120ef555ac52f1e203b24cc",
+            kind="biclique_side", n=60, p=0.5, trials=5, seed=42),
+    # n > alpha_exact_max_n, so alpha comes from independent_set_search
+    _golden("bounds-n100", 0,
+            "936f77e6f74a291bd1d949767cb985e4323477eb5e908386b70167787c49206a",
+            "90a80852e73e99ea891772cc145db5d15ce78846a8a9c6748fb30bd3544f98dd",
+            kind="bounds", n=100, p=0.5, trials=3, seed=42),
+    # Edge cases: empty runs, undefined targets, a refusal and a run with violations.
+    _golden("bounds-no-trials", 0,
+            "c301f1886514e1f2173237c48e61a36c8af93e6a18e7d61f38a5b50bedc22de7",
+            "c338236f7aab3049d7c104fd2189b42269eed8ddbdb0c5a76850b2d48e65ae28",
+            kind="bounds", n=9, p=0.5, trials=0, seed=42),
+    _golden("bounds-n1", 0,  # alpha_target and regime_threshold are None
+            "a15b607179af005732d70722929d2e6e20d4b1c0f79b86c0b8fae6543d0c78be",
+            "2aaf50a42f08fd8103300d1cf5b0c8e386a7adc770e925730454399c60f4b26f",
+            kind="bounds", n=1, p=0.5, trials=3, seed=42),
+    _golden("density-no-trials", 0,
+            "5f0316a0ea84f57d1cb6a4f6fd9591a8d7c074116faadc19fa0196c06ad1304e",
+            "3aeb09c27725ba7dfc074fe1730dddb8787bafc61222ed3ffdb11ffaa7ebea5b",
+            kind="density", n=40, p=0.5, trials=0, seed=42),
+    _golden("density-violations", 3,
+            "5f4957e352eb83c38d9dc4e5c832cbdafd9612003cfb8bbaa06a67d8e01d3d66",
+            "60aa709b45bd2f93c38205db4476178332ab5aef852d208660dc21b8c5774b3e",
+            kind="density", n=40, p=0.5, trials=3, seed=42, density_ceiling=0.01),
+    _golden("biclique_side-refused", 0,
+            "f6148d1d5eece348277566f31d4ca881aea5e63f7abaf37170afd646e220c752",
+            "be2e02d3e683771777f408ab1e9d34d60c754eeb55e0481abaefd12c77c8594e",
+            kind="biclique_side", n=20, p=1.0, trials=3, seed=42),
+    _golden("biclique_side-no-trials", 0,
+            "cf6e31a039c02d510f3831f1eb45efc1aff50af5e39f61384e191b323792a5ce",
+            "39eef055f0e99665ef97d995123cd3602347c8598e434648d1273df7541ecb4d",
+            kind="biclique_side", n=20, p=0.5, trials=0, seed=42),
+    _golden("coverage_soundness-n2", 0,
+            "99237bc46fa6a1eda0b6518d185b37356a1c8cbf907db9892f747f5d75884a84",
+            "17629f58df8c08a3c4a94ed9c68e0d412a94a28a64c40daba730af074546f3da",
+            kind="coverage_soundness", n=2, p=0.5, trials=5, seed=42),
 ]
 
 
-@pytest.mark.parametrize(
-    "config, json_sha, csv_sha", GOLDEN, ids=[c["kind"] for c, _, _ in GOLDEN[:4]] + ["bounds-n100"]
-)
-def test_report_digests(config, json_sha, csv_sha):
+@pytest.mark.parametrize("config, violations, json_sha, csv_sha", GOLDEN)
+def test_report_digests(config, violations, json_sha, csv_sha):
     report = run_experiment(ExperimentConfig(**config))
-    assert report.violations == 0
+    assert report.violations == violations
     for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
         assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == expected, fmt
 

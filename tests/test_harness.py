@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from bipart.graphs import Graph
+from bipart import harness
+from bipart.graphs import Graph, sample_gnp
 from bipart.harness import (
     ExperimentConfig,
     derive_seed,
@@ -128,6 +130,35 @@ class TestCoverageSoundness:
             cfg = ExperimentConfig(kind="coverage_soundness", n=n, p=0.5, trials=3, seed=1)
             report = run_coverage_soundness(cfg)
             assert report.violations == 0 and len(report.records) == 3
+
+
+class TestTrialLoop:
+    @pytest.mark.parametrize("config", [
+        dict(kind="bounds", n=8, trials=2),
+        dict(kind="density", n=20, trials=2),
+        dict(kind="biclique_side", n=20, trials=2),
+        dict(kind="coverage_soundness", n=5, trials=2),
+    ], ids=lambda c: c["kind"])
+    def test_elapsed_spans_sampling(self, monkeypatch, config):
+        """``elapsed`` covers the sampling, not just the trial body; it never reaches the report."""
+        cfg = ExperimentConfig(p=0.5, seed=4, **config)
+        plain = emit_report(run_experiment(cfg), "json")
+
+        def slow_sample(spec):
+            time.sleep(0.02)
+            return sample_gnp(spec)
+
+        monkeypatch.setattr(harness, "sample_gnp", slow_sample)
+        report = run_experiment(cfg)
+        assert len(report.records) == cfg.trials
+        assert all(rec.elapsed >= 0.02 for rec in report.records)
+        assert emit_report(report, "json") == plain
+
+    def test_runner_reports_its_own_kind(self):
+        cfg = ExperimentConfig(kind="bounds", n=20, p=0.5, trials=1, seed=4)
+        report = run_density_check(cfg)
+        assert report.kind == "density"
+        assert report.config["kind"] == "bounds"
 
 
 class TestEmitReport:
