@@ -34,6 +34,7 @@ from .graphs import (
     VertexSet,
     _common_mask,
     _is_int_list,
+    _strip,
     _submasks,
     common_neighborhood,
     induced_subgraph,
@@ -143,16 +144,6 @@ def _local_setup(g: Graph, universe, fam: CoverageFamily):
         raise ValueError("family universe is not contained in the given universe")
     set_masks = tuple(mask_of(index[v] for v in s) for s in fam.sets)
     return verts, index, local.adj, set_masks
-
-
-def _strip(rows: Sequence[int], a_mask: int, l_mask: int) -> tuple[int, ...]:
-    """The rows left once every cross edge between ``a_mask`` and ``l_mask`` is taken."""
-    out = list(rows)
-    for x in iter_bits(a_mask):
-        out[x] &= ~l_mask
-    for y in iter_bits(l_mask):
-        out[y] &= ~a_mask
-    return tuple(out)
 
 
 def _cross_edges(verts: Sequence[int], a_mask: int, l_mask: int) -> tuple[tuple[int, int], ...]:

@@ -5,10 +5,11 @@ bitset, which keeps the neighborhood intersections at the heart of every
 search in this package cheap up to a few thousand vertices.  Graphs are
 immutable after construction and safe to share across threads.  This module
 also holds the private mask helpers (submasks, common neighborhoods, greedy
-independent passes, and ``_packed``, the one bridge from bitmask rows to a
-packed numpy bit array) that the other modules share.  ``_packed`` feeds the
-symmetry check of ``Graph``, the inertia in ``spectral`` and the neighbor
-counts of ``_swap_polish``.
+independent passes, ``_strip``, which removes a biclique's cross edges, and
+``_packed``, the one bridge from bitmask rows to a packed numpy bit array)
+that the other modules share.  ``_strip`` serves the coverage game and the
+exact partition search; ``_packed`` feeds the symmetry check of ``Graph``,
+the inertia in ``spectral`` and the neighbor counts of ``_swap_polish``.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from ``random.Random(seed)`` (the Mersenne
@@ -154,6 +155,16 @@ def _greedy_independent(rows: Sequence[int], order: Iterable[int], start: int = 
         if not rows[v] & s:
             s |= 1 << v
     return s
+
+
+def _strip(rows: Sequence[int], a_mask: int, b_mask: int) -> tuple[int, ...]:
+    """The rows left once every cross edge between ``a_mask`` and ``b_mask`` is taken."""
+    out = list(rows)
+    for x in iter_bits(a_mask):
+        out[x] &= ~b_mask
+    for y in iter_bits(b_mask):
+        out[y] &= ~a_mask
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -409,17 +420,19 @@ def independent_set_greedy(g: Graph, seed: int) -> VertexSet:
     return VertexSet(_greedy_independent(g.adj, order), g.n)
 
 
+# independent_set_search: beam width, pool vertices sampled and children kept
+# per beam state, pool size solved exactly, and swap-polish moves per round.
+_BEAM_WIDTH = 224
+_BEAM_SAMPLE = 56
+_BEAM_BRANCH = 4
+_FINISH_AT = 44
+_POLISH_MOVES = 1600
+
+
 def _beam_with_exact_finish(
-    adj: Sequence[int],
-    n: int,
-    rng: random.Random,
-    width: int,
-    sample: int,
-    branch: int,
-    finish_at: int,
-    incumbent: int,
+    adj: Sequence[int], n: int, rng: random.Random, incumbent: int
 ) -> tuple[int, int]:
-    """One beam descent; pools at or below ``finish_at`` vertices are solved exactly.
+    """One beam descent; pools at or below ``_FINISH_AT`` vertices are solved exactly.
 
     The exact finisher is seeded with the incumbent so dominated pools prune
     immediately.  Returns (size, mask) of the best completed set, which is
@@ -431,7 +444,7 @@ def _beam_with_exact_finish(
     while beam:
         deeper = []
         for pool, smask, size in beam:
-            if pool.bit_count() <= finish_at:
+            if pool.bit_count() <= _FINISH_AT:
                 got, gmask, _, _ = _alpha_branch_and_bound(
                     adj, pool, 250_000, (best_size - size, 0)
                 )
@@ -444,9 +457,9 @@ def _beam_with_exact_finish(
         children: dict[int, tuple[int, int, int]] = {}
         for pool, smask, size in deeper:
             bits = list(iter_bits(pool))
-            cand = bits if len(bits) <= sample else rng.sample(bits, sample)
+            cand = bits if len(bits) <= _BEAM_SAMPLE else rng.sample(bits, _BEAM_SAMPLE)
             cand.sort(key=lambda v: ((adj[v] & pool).bit_count(), v))
-            for v in cand[:branch]:
+            for v in cand[:_BEAM_BRANCH]:
                 ns = smask | (1 << v)
                 if ns in children:
                     continue
@@ -456,7 +469,7 @@ def _beam_with_exact_finish(
         ranked = sorted(
             children.items(), key=lambda kv: (-kv[1][0].bit_count(), rng.random())
         )
-        beam = [state for _, state in ranked[:width]]
+        beam = [state for _, state in ranked[:_BEAM_WIDTH]]
     return best_size, best_mask
 
 
@@ -517,21 +530,12 @@ def _swap_polish(
     return best_size, best_mask
 
 
-def independent_set_search(
-    g: Graph,
-    seed: int,
-    rounds: int = 5,
-    beam_width: int = 224,
-    beam_sample: int = 56,
-    beam_branch: int = 4,
-    finish_at: int = 44,
-    polish_moves: int = 1600,
-) -> VertexSet:
+def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
     """Strong seeded heuristic for large graphs: beam search with exact finishing
     of small residual pools, followed by swap polishing.
 
     Returns a maximal independent set, deterministic for a given seed and
-    parameter choice.  Finds noticeably larger sets than a single greedy
+    number of rounds.  Finds noticeably larger sets than a single greedy
     pass on dense random graphs, which matters because the n - alpha upper
     bound is only as good as the independent set behind it.
     """
@@ -543,14 +547,12 @@ def independent_set_search(
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     for _ in range(rounds):
-        size, mask = _beam_with_exact_finish(
-            adj, n, rng, beam_width, beam_sample, beam_branch, finish_at, best_size
-        )
+        size, mask = _beam_with_exact_finish(adj, n, rng, best_size)
         if mask and size > best_size:
             best_size, best_mask = size, mask
         polish_from = mask or best_mask
         if polish_from:
-            size2, mask2 = _swap_polish(adj, n, packed, polish_from, rng, polish_moves)
+            size2, mask2 = _swap_polish(adj, n, packed, polish_from, rng, _POLISH_MOVES)
             if size2 > best_size:
                 best_size, best_mask = size2, mask2
     if not best_mask:  # edgeless or tiny graphs: fall back to plain greedy

@@ -201,9 +201,20 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
 
     A sandwich violation (lower bound above an upper bound, or the exact
     value outside the sandwich) on any trial is counted; on exact trials the
-    count must be zero.
+    count must be zero.  A config whose alpha target or regime threshold is
+    not a finite float raises ValueError before any trial runs.
     """
     n, p = cfg.n, cfg.p
+    target = threshold = None
+    if 0 < p < 1 and n > 1:
+        try:
+            target = 2.0 * math.log(n) / math.log(1.0 / (1.0 - p))
+            threshold = cfg.c * (math.log(n) / math.log(1.0 / p)) ** (3.0 + cfg.epsilon)
+        except (OverflowError, ZeroDivisionError):  # p below float resolution, or a huge epsilon
+            target = threshold = math.inf
+        if not (math.isfinite(target) and math.isfinite(threshold)):
+            raise ValueError(f"alpha_target or regime_threshold is not finite at n={n}, p={p}, "
+                             f"c={cfg.c}, epsilon={cfg.epsilon}")
 
     def trial(g: Graph, rec: TrialRecord) -> None:
         if n <= cfg.alpha_exact_max_n:
@@ -234,10 +245,6 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
                 rec.violations.append("exact value above n - beta + 1")
 
     records = _run_trials(cfg, trial)
-    target = threshold = None
-    if 0 < p < 1 and n > 1:
-        target = 2.0 * math.log(n) / math.log(1.0 / (1.0 - p))
-        threshold = cfg.c * (math.log(n) / math.log(1.0 / p)) ** (3.0 + cfg.epsilon)
     mean_alpha = _mean(r.alpha for r in records if r.alpha is not None)
     aggregates = {
         "trials": cfg.trials,

@@ -21,6 +21,7 @@ from .graphs import (
     _common_mask,
     _greedy_independent,
     _is_int_list,
+    _strip,
     _submasks,
     independence_number_exact,
     iter_bits,
@@ -400,49 +401,48 @@ def _solve_partition_number(
     unordered part appears once), largest parts first.  Nodes are pruned when
     parts so far plus the inertia bound of the remaining graph cannot beat
     the incumbent.
+
+    The search is one loop over an explicit stack, so its depth is not call
+    depth.  Each entry is one child: its sort key (-edges, a side, b side),
+    then its parent's rows and parts.  The child's part is stripped off the
+    parent's rows only when the entry is popped, so siblings share one tuple
+    of rows and the stack holds little more than the candidate lists.  Each
+    candidate list is sorted in reverse before it is pushed, so children pop
+    largest part first.
     """
     n = g.n
-    rows = list(g.adj)
-    root_sig = inertia_from_rows(rows, n)
+    root_sig = inertia_from_rows(g.adj, n)
     root_bound = max(root_sig.n_plus, root_sig.n_minus)
 
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
     witness = incumbent
-    current: list[tuple[int, int]] = []
     nodes = 0
-    exhausted = False
-
-    def smallest_uncovered() -> tuple[int, int] | None:
-        for v in range(n):
-            if rows[v]:
-                return v, (rows[v] & -rows[v]).bit_length() - 1
-        return None
-
-    def remaining_bound() -> int:
-        sig = inertia_from_rows(rows, n)
-        return max(sig.n_plus, sig.n_minus)
-
-    def dfs() -> None:
-        nonlocal best_value, witness, nodes, exhausted
-        if exhausted:
-            return
+    # (-edges, a side, b side, parent rows, parent parts); the root entry adds no part.
+    stack = [(0, 0, 0, g.adj, ())]
+    while stack:
+        _, a_mask, b_mask, rows, parts = stack.pop()
+        if a_mask:
+            rows = _strip(rows, a_mask, b_mask)
+            parts += ((a_mask, b_mask),)
         nodes += 1
         if nodes > budget:
-            exhausted = True
-            return
-        edge = smallest_uncovered()
-        if edge is None:
-            if len(current) < best_value:
-                best_value = len(current)
-                witness = BicliquePartition(g, tuple(Biclique(a, b) for a, b in current))
-            return
-        depth = len(current)
+            return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)
+        depth = len(parts)
+        for a in range(n):
+            if rows[a]:
+                break
+        else:  # every edge is covered
+            if depth < best_value:
+                best_value = depth
+                witness = BicliquePartition(g, tuple(Biclique(x, y) for x, y in parts))
+            continue
         if depth + 1 >= best_value:
-            return  # at least one more part is needed
-        if depth + remaining_bound() >= best_value:
-            return
-        a, b = edge
-        candidates: list[tuple[int, int, int]] = []
+            continue  # at least one more part is needed
+        sig = inertia_from_rows(rows, n)
+        if depth + max(sig.n_plus, sig.n_minus) >= best_value:
+            continue
+        b = (rows[a] & -rows[a]).bit_length() - 1
+        candidates = []
         pool_a = rows[b] & ~(1 << a)
         for sub_a in _submasks(pool_a):
             a_mask = sub_a | (1 << a)
@@ -454,27 +454,12 @@ def _solve_partition_number(
                 b_mask = sub_b | (1 << b)
                 if b_mask.bit_count() < min_side:
                     continue
-                candidates.append((a_mask.bit_count() * b_mask.bit_count(), a_mask, b_mask))
-        candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-        for _, a_mask, b_mask in candidates:
-            saved = [(v, rows[v]) for v in iter_bits(a_mask | b_mask)]
-            for x in iter_bits(a_mask):
-                rows[x] &= ~b_mask
-            for y in iter_bits(b_mask):
-                rows[y] &= ~a_mask
-            current.append((a_mask, b_mask))
-            dfs()
-            current.pop()
-            for v, row in saved:
-                rows[v] = row
-            if exhausted:
-                return
+                edges = a_mask.bit_count() * b_mask.bit_count()
+                candidates.append((-edges, a_mask, b_mask, rows, parts))
+        candidates.sort(reverse=True)
+        stack += candidates
 
-    dfs()
-
-    if not exhausted:
-        return SolveResult(best_value, witness, EXACT, best_value, nodes)
-    return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)
+    return SolveResult(best_value, witness, EXACT, best_value, nodes)
 
 
 def partition_number_exact(g: Graph, budget: int = 5_000_000) -> SolveResult:
@@ -503,10 +488,7 @@ def strong_partition_number_exact(g: Graph, budget: int = 5_000_000) -> SolveRes
         return SolveResult(0, None, EXACT, 0, 0)
     if g.m == 0:
         return SolveResult(0, BicliquePartition(g, ()), EXACT, 0, 0)
-    result = _solve_partition_number(g, 2, budget, None)
-    if result.status == EXACT and result.value == INFINITY:
-        return SolveResult(INFINITY, None, EXACT, INFINITY, result.nodes)
-    return result
+    return _solve_partition_number(g, 2, budget, None)
 
 
 def partition_to_json(partition: BicliquePartition) -> dict:

@@ -200,8 +200,14 @@ class TestExperiment:
         "config",
         [{"kind": "density", "n": 8, "trials": 1},
          {"kind": "coverage_soundness", "n": 9, "trials": 1},
-         {"kind": "coverage_soundness", "n": 5, "p": 1.0, "trials": 1}],
-        ids=["density-n-below-16", "coverage-n-above-8", "coverage-base-one"],
+         {"kind": "coverage_soundness", "n": 5, "p": 1.0, "trials": 1},
+         # regime_threshold overflows a float, or is inf, which is not valid JSON
+         {"kind": "bounds", "n": 100, "trials": 1, "epsilon": 1000},
+         {"kind": "bounds", "n": 100, "trials": 1, "c": 1e308},
+         # 1 - p rounds to 1.0, so alpha_target divides by zero
+         {"kind": "bounds", "n": 100, "trials": 1, "p": 1e-20}],
+        ids=["density-n-below-16", "coverage-n-above-8", "coverage-base-one",
+             "bounds-threshold-overflow", "bounds-threshold-infinite", "bounds-target-p-tiny"],
     )
     def test_config_refused_by_runner_is_usage_error(self, runner, tmp_path, config):
         cfg = tmp_path / "cfg.json"

@@ -22,6 +22,7 @@ from bipart.coverage import (
 from bipart.graphs import GnpSpec, independence_number_exact, independent_set_search, sample_gnp
 from bipart.harness import ExperimentConfig, emit_report, run_experiment
 from bipart.partition import (
+    LOWER_BOUND_ONLY,
     BicliquePartition,
     largest_induced_biclique,
     normalize_stars_first,
@@ -111,6 +112,9 @@ def test_search_digest():
 
 
 WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
+# Larger graphs solved at budgets 0 and 200, so the digest pins budget-outs:
+# tau with its star incumbent, and tau' with no partition found (INFINITY).
+BUDGET_GRAPHS = [(n, p, seed) for n in range(11, 14) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 
 WITNESS_DIGESTS = {
     "tau": "432acf44e2b13ff25514c7b1cff36aaf2cb15317e277a286624675e331911bc0",
@@ -121,6 +125,7 @@ WITNESS_DIGESTS = {
     "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
     "star_plus_exact": "79e025b44ebf6035436360699c45a1a1182dee4cbbbf35f930157f1fbce01b22",
     "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
+    "budget_outs": "cf6f6c7eca8d7c5aaf87e340a292065be412e8268fa5400dabe8f54bb636452d",
 }
 
 
@@ -140,11 +145,19 @@ def _witness_outputs() -> dict[str, list]:
             out[f"biclique_{effort}"].append(partition_to_json(BicliquePartition(g, (beta,))))
             mixed = star_plus_biclique_decomposition(g, beta)
             out[f"star_plus_{effort}"].append(partition_to_json(mixed))
+    for n, p, seed in BUDGET_GRAPHS:
+        g = sample_gnp(GnpSpec(n, p, seed))
+        for budget in (0, 200):
+            for solve in (partition_number_exact, strong_partition_number_exact):
+                out["budget_outs"].append(solve_result_to_json(solve(g, budget=budget)))
     return out
 
 
 def test_witness_digests():
     outputs = _witness_outputs()
+    budget_outs = [r for r in outputs["budget_outs"] if r["status"] == LOWER_BOUND_ONLY]
+    assert any(r["witness"] for r in budget_outs)  # tau keeps its star incumbent
+    assert any(r["value"] == "infinity" for r in budget_outs)  # tau' found no partition
     for key, expected in WITNESS_DIGESTS.items():
         got = hashlib.sha256(json.dumps(outputs[key], sort_keys=True).encode()).hexdigest()
         assert got == expected, key

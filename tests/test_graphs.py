@@ -241,7 +241,7 @@ class TestIndependence:
 
     def test_search_returns_maximal_independent_set(self):
         g = sample_gnp(GnpSpec(120, 0.5, 17))
-        found = independent_set_search(g, 4, rounds=2, beam_width=32)
+        found = independent_set_search(g, 4, rounds=2)
         for v in found:
             assert not g.adj[v] & found.mask
         for v in range(g.n):
@@ -261,7 +261,7 @@ class TestIndependence:
             g = sample_gnp(GnpSpec(n, p, seed))
             packed = _packed(g.adj, n)
             greedy = independent_set_greedy(g, seed).mask
-            _, beam = _beam_with_exact_finish(g.adj, n, random.Random(seed), 8, 16, 2, 20, 0)
+            _, beam = _beam_with_exact_finish(g.adj, n, random.Random(seed), 0)
             for start in (greedy, beam):
                 for moves in (0, 1, 40, 1600):
                     ref_rng, rng = random.Random(seed + moves), random.Random(seed + moves)

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -495,6 +497,20 @@ class TestStrongPartitionNumber:
                 assert all(
                     pt.a.bit_count() >= 2 and pt.b.bit_count() >= 2 for pt in strong.witness.parts
                 )
+
+
+def test_search_depth_is_not_call_depth():
+    # 60 disjoint 4-cycles: tau' is 60, one K_{2,2} per level of the search,
+    # so a search that recursed once per part would need 60 nested calls.
+    g = Graph.from_edges(240, [(4 * c + v, 4 * c + (v + 1) % 4) for c in range(60) for v in range(4)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        res = strong_partition_number_exact(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (res.value, res.status, res.nodes) == (60, EXACT, 61)
+    assert res.witness.is_valid()
 
 
 class TestConstructionValidity:
