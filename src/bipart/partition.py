@@ -27,7 +27,8 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
-from .spectral import inertia_from_rows
+from .spectral import _gp_bound
+from .spectral import inertia_from_rows  # noqa: F401  (bench/tracing.py wraps this name)
 
 __all__ = [
     "INFINITY",
@@ -396,11 +397,27 @@ def _solve_partition_number(
 ) -> SolveResult:
     """Shared branch-and-bound engine for the plain and star-free variants.
 
-    Branches on the lexicographically smallest uncovered edge, enumerating
+    Branches on the lexicographically smallest uncovered edge ab, enumerating
     every biclique of the remaining graph that contains it (anchored so each
     unordered part appears once), largest parts first.  Nodes are pruned when
     parts so far plus the inertia bound of the remaining graph cannot beat
     the incumbent.
+
+    The prune is sound by Graham and Pollak (1971): a part with sides A and
+    B adds x_A x_B = ((x_A + x_B)^2 - (x_A - x_B)^2) / 4 to x^T A x / 2,
+    where x_A sums x over A, so k parts write that form with k positive and
+    k negative squares, and Sylvester's law of inertia gives n+ <= k and
+    n- <= k.  Counting an eigenvalue within the tolerance as zero only
+    lowers n+ or n-, so rounding can weaken the bound but never cut off a
+    better partition.  The root's bound is computed once; it is also the
+    ``lower_bound`` of a budget-out.
+
+    With ``min_side`` 2, a node whose edge ab lies on no 4-cycle a-b-x-y-a
+    has no child, since every star-free biclique through ab holds such an x
+    and y.  The search leaves that node before its eigen-solve.  The node is
+    already counted, and having no child and an uncovered edge it can neither
+    improve the incumbent nor change what is visited after it, so node
+    counts and results are those of a search that computed its bound.
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
@@ -411,8 +428,7 @@ def _solve_partition_number(
     largest part first.
     """
     n = g.n
-    root_sig = inertia_from_rows(g.adj, n)
-    root_bound = max(root_sig.n_plus, root_sig.n_minus)
+    root_bound = _gp_bound(g.adj, n)
 
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
     witness = incumbent
@@ -438,12 +454,15 @@ def _solve_partition_number(
             continue
         if depth + 1 >= best_value:
             continue  # at least one more part is needed
-        sig = inertia_from_rows(rows, n)
-        if depth + max(sig.n_plus, sig.n_minus) >= best_value:
-            continue
         b = (rows[a] & -rows[a]).bit_length() - 1
-        candidates = []
         pool_a = rows[b] & ~(1 << a)
+        if min_side > 1:
+            fourth = rows[a] & ~(1 << b)
+            if not any(rows[x] & fourth for x in iter_bits(pool_a)):
+                continue  # ab lies on no 4-cycle: no child
+        if depth + (_gp_bound(rows, n) if parts else root_bound) >= best_value:
+            continue
+        candidates = []
         for sub_a in _submasks(pool_a):
             a_mask = sub_a | (1 << a)
             if a_mask.bit_count() < min_side:

@@ -52,6 +52,15 @@ def default_tolerance(n: int) -> float:
     return 1e-8 * max(n, 1)
 
 
+def _eigenvalues(rows: Sequence[int], n: int) -> np.ndarray:
+    """Ascending adjacency eigenvalues of the graph given by bitmask rows."""
+    matrix = np.unpackbits(_packed(rows, n), axis=1, count=n, bitorder="little")
+    try:
+        return np.linalg.eigvalsh(matrix.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"eigenvalue computation failed to converge: {exc}") from exc
+
+
 def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> InertiaSignature:
     """Inertia of the graph given directly by adjacency bitmask rows."""
     if tol is None:
@@ -60,17 +69,24 @@ def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> 
         raise ValueError("tolerance must be positive")
     if n == 0:
         return InertiaSignature(0, 0, 0, tol)
-    matrix = np.unpackbits(_packed(rows, n), axis=1, count=n, bitorder="little")
-    try:
-        eigenvalues = np.linalg.eigvalsh(matrix.astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"eigenvalue computation failed to converge: {exc}") from exc
+    eigenvalues = _eigenvalues(rows, n)
     n_plus = int(np.count_nonzero(eigenvalues > tol))
     n_minus = int(np.count_nonzero(eigenvalues < -tol))
     n_zero = n - n_plus - n_minus
     magnitudes = np.abs(eigenvalues)
     ambiguous = bool(np.any((magnitudes > tol) & (magnitudes <= 2 * tol)))
     return InertiaSignature(n_plus, n_zero, n_minus, tol, ambiguous)
+
+
+def _gp_bound(rows: Sequence[int], n: int) -> int:
+    """max(n+, n-) of the graph given by bitmask rows, at the default tolerance.
+
+    The exact partition search's per-node bound: the counts of
+    :func:`inertia_from_rows` without the signature it never reads.
+    """
+    eigenvalues = _eigenvalues(rows, n)
+    tol = default_tolerance(n)
+    return max(int(np.count_nonzero(eigenvalues > tol)), int(np.count_nonzero(eigenvalues < -tol)))
 
 
 def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipart import partition as partition_module
 from bipart.graphs import (
     GnpSpec,
     Graph,
@@ -477,6 +478,32 @@ class TestStrongPartitionNumber:
         res = strong_partition_number_exact(g)
         assert res.value == 2 and res.status == EXACT
         assert res.witness.is_valid()
+
+    def test_matches_bruteforce_small(self):
+        for n in range(3, 9):
+            for p in (0.3, 0.5, 0.7, 0.9):
+                # Few of these graphs have a star-free partition, so the
+                # sparser cells take many seeds to meet finite values.  The
+                # brute force takes 0.03 s per graph at n=7, p=0.9, and over
+                # a second at n=8.
+                for s in range(100 if p < 0.9 else 20 if n < 7 else 2):
+                    g = sample_gnp(GnpSpec(n, p, 130_000 + s))
+                    brute = tau_brute(g, min_side=2)
+                    res = strong_partition_number_exact(g)
+                    assert res.status == EXACT
+                    assert res.value == (INFINITY if brute is None else brute), (n, p, s)
+
+    def test_dead_end_costs_no_eigen_solve(self, monkeypatch):
+        # A 4-cycle and a triangle: the one child of the root leaves the
+        # triangle, whose edge lies on no 4-cycle, so only the root's bound
+        # is computed.
+        calls = []
+        real = partition_module._gp_bound
+        monkeypatch.setattr(partition_module, "_gp_bound", lambda rows, n: calls.append(n) or real(rows, n))
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
+        res = strong_partition_number_exact(g)
+        assert (res.value, res.status, res.nodes) == (INFINITY, EXACT, 2)
+        assert calls == [7]
 
     def test_at_least_plain_value_when_finite(self):
         fixtures = [

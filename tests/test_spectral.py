@@ -1,11 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipart.graphs import GnpSpec, Graph, sample_gnp
-from bipart.spectral import InertiaSignature, graham_pollak_lower_bound, inertia
+from bipart.graphs import GnpSpec, Graph, _strip, sample_gnp
+from bipart.spectral import (
+    InertiaSignature,
+    _gp_bound,
+    graham_pollak_lower_bound,
+    inertia,
+    inertia_from_rows,
+)
 
 from conftest import gnp_graphs
 
@@ -84,3 +91,41 @@ class TestGrahamPollakBound:
 
     def test_empty(self):
         assert graham_pollak_lower_bound(Graph.empty(3)) == 0
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Random adjacency rows on 0-16 vertices, half of them with a biclique's
+    cross edges stripped, as the exact partition search sees them."""
+    n = draw(st.integers(0, 16))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if n and draw(st.booleans()):
+        side = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
+        a_mask = sum(1 << v for v in range(n) if side[v] == 1)
+        b_mask = sum(1 << v for v in range(n) if side[v] == 2)
+        rows = list(_strip(rows, a_mask, b_mask))
+    return rows, n
+
+
+class TestGpBound:
+    @given(symmetric_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_inertia_from_rows(self, case):
+        rows, n = case
+        sig = inertia_from_rows(rows, n)
+        assert _gp_bound(rows, n) == max(sig.n_plus, sig.n_minus)
+
+    def test_solver_failure_is_arithmetic_error(self, monkeypatch):
+        def fail(_matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        rows = Graph.complete(4).adj
+        for compute in (_gp_bound, inertia_from_rows):
+            with pytest.raises(ArithmeticError, match="failed to converge"):
+                compute(rows, 4)
