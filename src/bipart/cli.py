@@ -68,7 +68,10 @@ def gen(n: int, p: float, seed: int, out: str) -> None:
         g = sample_gnp(GnpSpec(n, p, seed))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    write_edge_list(g, out)
+    try:
+        write_edge_list(g, out)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write graph to {out}: {exc}")
     click.echo(f"wrote {g.n} vertices, {g.m} edges to {out}")
 
 
@@ -78,7 +81,10 @@ def gen(n: int, p: float, seed: int, out: str) -> None:
 def bounds(graph_path: str, tol: float | None) -> None:
     """Print the inertia signature and the spectral lower bound as JSON."""
     g = _load_graph(graph_path)
-    sig = inertia(g, tol)
+    try:
+        sig = inertia(g, tol)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     payload = {
         "n": g.n,
         "m": g.m,

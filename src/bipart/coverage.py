@@ -591,26 +591,23 @@ def peel_witness(
                 f"peeling needed {q} steps but w was exhausted after {step}", step
             )
         v_bit = 1 << v
-        incident = [frag for frag in fragments if frag & v_bit]
         guard = union_incident = 0
-        for frag in incident:
-            rest = frag & ~v_bit
-            if not rest:
-                raise PeelingError(
-                    f"fragment at vertex {v} has no guard representative (step {step})",
-                    step,
-                )
-            guard |= rest & -rest
-            union_incident |= frag
-        dangling = [
-            frag for frag in fragments if frag and (frag & ~union_incident).bit_count() == 1
-        ]
+        for frag in fragments:
+            if frag & v_bit:
+                rest = frag & ~v_bit
+                if not rest:
+                    raise PeelingError(
+                        f"fragment at vertex {v} has no guard representative (step {step})",
+                        step,
+                    )
+                guard |= rest & -rest
+                union_incident |= frag
         wipe = v_bit | union_incident
-        for frag in dangling:
-            wipe |= frag
+        for frag in fragments:
+            if (frag & ~union_incident).bit_count() == 1:
+                wipe |= frag
         removed |= wipe
-        fragments = [frag & ~wipe for frag in fragments]
-        fragments = [frag for frag in fragments if frag]
+        fragments = [frag & ~wipe for frag in fragments if frag & ~wipe]
         out_order.append(v)
         guards[v] = tuple(iter_bits(guard))
 
@@ -674,11 +671,8 @@ def uncovered_lower_bound(
     once, _ = _ownership(fam.sets)
     fam2 = CoverageFamily.of(fam.universe, [s for s in fam.sets if len(s) == 2])
     s_all, t_all = exclusive_split(fam2)
-    keep = s_all.mask & once
-    pair_bound, s_keep, t_partners = 0, (), ()
-    if keep:
-        s_keep, t_partners = tuple(iter_bits(keep)), t_all.as_tuple()
-        pair_bound = blocked_edge_count(g, fam2, s_keep, t_all)
+    keep = VertexSet(s_all.mask & once, g.n)
+    pair_bound = blocked_edge_count(g, fam2, keep, t_all) if keep else 0
 
     # Witness certificate over the small tier.  Vertices touched by any set
     # outside the tier are excluded from the pool, so every left side meeting
@@ -692,29 +686,23 @@ def uncovered_lower_bound(
         classified = [s for s in fam.sets if len(s) >= 2]
         split = classify_family(CoverageFamily.of(fam.universe, classified), epsilon, base)
         small_sets = [classified[i] for i in split.small]
-    small_lookup = set(small_sets)
-    blocked = 0
-    for s in fam.sets:
-        if s not in small_lookup:
-            blocked |= mask_of(s)
+    blocked = mask_of(v for s in fam.sets if s not in small_sets for v in s)
     if u_size >= 2:
         d1 = _delta1(epsilon)
         degree_cap = (d1 / 2.0 - d1 / 3000.0) * _log_base(u_size, base)
-        pool = [v for v in fam.universe if not (blocked >> v) & 1]
-        if small_sets:
-            degree = _degrees(small_sets, max(fam.universe) + 1)
-            pool = [v for v in pool if degree[v] < degree_cap]
+        degree = _degrees(small_sets, max(fam.universe) + 1)
+        pool = [v for v in fam.universe if not (blocked >> v) & 1 and degree[v] < degree_cap]
         if pool:
-            rng = random.Random(seed)
-            rng.shuffle(pool)
-            small_fam = CoverageFamily.of(fam.universe, small_sets)
+            random.Random(seed).shuffle(pool)
             try:
-                witness = peel_witness(small_fam, pool, base, ordering=pool)
+                witness = peel_witness(CoverageFamily.of(fam.universe, small_sets), pool, base,
+                                       ordering=pool)
                 witness_bound = shielded_edge_count(
                     g, VertexSet(u_mask, g.n), witness.order, witness.guards
                 )
             except PeelingError as exc:
                 note = f"witness peeling failed after {exc.steps} steps"
 
-    value = max(pair_bound, witness_bound, 0)
-    return CoverageBound(value, pair_bound, witness_bound, s_keep, t_partners, witness, note)
+    t_partners = t_all.as_tuple() if keep else ()
+    return CoverageBound(max(pair_bound, witness_bound), pair_bound, witness_bound,
+                         keep.as_tuple(), t_partners, witness, note)

@@ -448,12 +448,10 @@ def _beam_with_exact_finish(
                 got, gmask, _, _ = _alpha_branch_and_bound(
                     adj, pool, 250_000, (best_size - size, 0)
                 )
-                if gmask and size + got > best_size:
+                if size + got > best_size:
                     best_size, best_mask = size + got, smask | gmask
             else:
                 deeper.append((pool, smask, size))
-        if not deeper:
-            break
         children: dict[int, tuple[int, int, int]] = {}
         for pool, smask, size in deeper:
             bits = list(iter_bits(pool))
@@ -464,8 +462,6 @@ def _beam_with_exact_finish(
                 if ns in children:
                     continue
                 children[ns] = (pool & ~adj[v] & ~(1 << v), ns, size + 1)
-        if not children:
-            break
         ranked = sorted(
             children.items(), key=lambda kv: (-kv[1][0].bit_count(), rng.random())
         )
@@ -535,10 +531,14 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
     of small residual pools, followed by swap polishing.
 
     Returns a maximal independent set, deterministic for a given seed and
-    number of rounds.  Finds noticeably larger sets than a single greedy
-    pass on dense random graphs, which matters because the n - alpha upper
-    bound is only as good as the independent set behind it.
+    number of rounds (``rounds >= 1``).  The beam keeps every state it
+    finishes, even one whose pool emptied before the exact finisher.  Finds
+    noticeably larger sets than a single greedy pass on dense random graphs,
+    which matters because the n - alpha upper bound is only as good as the
+    independent set behind it.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     n = g.n
     if n == 0:
         return VertexSet(0, 0)
@@ -548,15 +548,11 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
     best_size, best_mask = 0, 0
     for _ in range(rounds):
         size, mask = _beam_with_exact_finish(adj, n, rng, best_size)
-        if mask and size > best_size:
+        if size > best_size:
             best_size, best_mask = size, mask
-        polish_from = mask or best_mask
-        if polish_from:
-            size2, mask2 = _swap_polish(adj, n, packed, polish_from, rng, _POLISH_MOVES)
-            if size2 > best_size:
-                best_size, best_mask = size2, mask2
-    if not best_mask:  # edgeless or tiny graphs: fall back to plain greedy
-        return independent_set_greedy(g, seed)
+        size2, mask2 = _swap_polish(adj, n, packed, mask or best_mask, rng, _POLISH_MOVES)
+        if size2 > best_size:
+            best_size, best_mask = size2, mask2
     # Ensure maximality before returning.
     best_mask = _greedy_independent(adj, range(n), best_mask)
     for v in iter_bits(best_mask):
@@ -639,19 +635,15 @@ def _balanced_side_exact(g: Graph) -> int:
 def _balanced_side_heuristic(g: Graph, budget: int, seed: int) -> int:
     rng = random.Random(seed)
     n = g.n
-    if g.m == 0 or n == 0:
+    if g.m == 0:
         return 0
     adj = g.adj
     best = 1
     steps = 0
     while steps < budget:
         start = rng.randrange(n)
-        if not adj[start]:
-            steps += 1
-            continue
         a_mask = 1 << start
         cn = adj[start]
-        best = max(best, min(1, cn.bit_count()))
         while steps < budget:
             steps += 1
             # Grow A by the vertex keeping the common neighborhood largest.
@@ -671,8 +663,6 @@ def _balanced_side_heuristic(g: Graph, budget: int, seed: int) -> int:
             a_mask |= 1 << x
             cn = cn & adj[x] & ~(1 << x)
             best = max(best, min(a_mask.bit_count(), cn.bit_count()))
-            if not cn:
-                break
     return best
 
 

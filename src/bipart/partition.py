@@ -284,14 +284,10 @@ def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
         for _ in range(3):
             b_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, a_mask)))
             a_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, b_mask)))
-        if a_mask and b_mask:
-            size = a_mask.bit_count() + b_mask.bit_count()
-            if size > best_size:
-                best_size = size
-                best = (a_mask, b_mask)
-    if best is None:
-        u, v = edges[0]
-        best = (1 << u, 1 << v)
+        size = a_mask.bit_count() + b_mask.bit_count()
+        if size > best_size:
+            best_size = size
+            best = (a_mask, b_mask)
     return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
 
 

@@ -65,10 +65,8 @@ def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> 
     """Inertia of the graph given directly by adjacency bitmask rows."""
     if tol is None:
         tol = default_tolerance(n)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if n == 0:
-        return InertiaSignature(0, 0, 0, tol)
+    if not 0 < tol < np.inf:  # also refuses nan
+        raise ValueError("tolerance must be finite and positive")
     eigenvalues = _eigenvalues(rows, n)
     n_plus = int(np.count_nonzero(eigenvalues > tol))
     n_minus = int(np.count_nonzero(eigenvalues < -tol))
@@ -81,8 +79,8 @@ def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> 
 def _gp_bound(rows: Sequence[int], n: int) -> int:
     """max(n+, n-) of the graph given by bitmask rows, at the default tolerance.
 
-    The exact partition search's per-node bound: the counts of
-    :func:`inertia_from_rows` without the signature it never reads.
+    The counts of :func:`inertia_from_rows` without the signature, for the
+    whole-graph bound and for each node of the exact partition search.
     """
     eigenvalues = _eigenvalues(rows, n)
     tol = default_tolerance(n)
@@ -96,5 +94,4 @@ def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:
 
 def graham_pollak_lower_bound(g: Graph) -> int:
     """max(n+, n-): a lower bound on the size of any biclique edge partition."""
-    sig = inertia(g)
-    return max(sig.n_plus, sig.n_minus)
+    return _gp_bound(g.adj, g.n)

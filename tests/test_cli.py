@@ -35,6 +35,12 @@ class TestGen:
             runner.invoke(main, ["gen", "--n", "30", "--p", "0.5", "--seed", "11", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_missing_out_dir_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "g.txt"
+        result = runner.invoke(main, ["gen", "--n", "4", "--p", "0.5", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot write graph" in result.output and str(out) in result.output
+
 
 class TestBounds:
     def test_signature_json(self, runner, tmp_path):
@@ -50,6 +56,13 @@ class TestBounds:
         bad.write_text("2 1\n0 0\n")
         result = runner.invoke(main, ["bounds", "--graph", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, runner, tmp_path, tol):
+        path = write_graph(tmp_path / "k5.txt", Graph.complete(5))
+        result = runner.invoke(main, ["bounds", "--graph", path, "--tol", tol])
+        assert result.exit_code == 2
+        assert "tolerance must be finite and positive" in result.output
 
 
 class TestExact:

@@ -30,3 +30,34 @@ def test_package_reexports_are_public():
         module = importlib.import_module(f"bipart.{module_name}")
         assert name in module.__all__, (module_name, name)
         assert getattr(bipart, name) is getattr(module, name), (module_name, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, skipping lines marked ``# noqa: F401``.
+
+    A name counts as read when it appears as a name node or in ``__all__``.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+# The package __init__ imports only to re-export; test_package_reexports_are_public checks those.
+@pytest.mark.parametrize(
+    "path", sorted(p for p in Path(bipart.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path) == []

@@ -249,6 +249,20 @@ class TestIndependence:
                 assert g.adj[v] & found.mask
         assert len(found) >= len(independent_set_greedy(g, 4))
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_beam_keeps_a_state_whose_pool_empties(self, copies):
+        # Each K50 pool empties in one step from above the finisher's size, so
+        # every state reaches the finisher with an empty pool.
+        k = Graph.complete(50)
+        g = Graph(50 * copies, tuple(row << (50 * c) for c in range(copies) for row in k.adj))
+        size, mask = _beam_with_exact_finish(g.adj, g.n, random.Random(0), 0)
+        assert mask and size == mask.bit_count() == copies
+        assert all(not g.adj[v] & mask for v in VertexSet(mask, g.n))
+
+    def test_search_refuses_zero_rounds(self):
+        with pytest.raises(ValueError, match="rounds"):
+            independent_set_search(Graph.complete(3), 1, rounds=0)
+
     POLISH_GRAPHS = [
         (354, 0.1, 1), (102, 0.1, 11), (309, 0.3, 3), (194, 0.3, 13), (79, 0.5, 5),
         (61, 0.5, 15), (135, 0.7, 7), (400, 0.7, 17), (361, 0.9, 9), (301, 0.9, 19),

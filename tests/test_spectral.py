@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -39,8 +40,9 @@ class TestInertia:
         assert (sig.n_plus, sig.n_zero, sig.n_minus) == (0, 0, 0)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            inertia(Graph.complete(3), tol=-1.0)
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                inertia(Graph.complete(3), tol=tol)
 
     def test_ambiguous_flag(self):
         # K3 spectrum is {2, -1, -1}: with tol = 0.6 the magnitude 1 lands in
