@@ -85,6 +85,8 @@ def bounds(graph_path: str, tol: float | None) -> None:
         sig = inertia(g, tol)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    # The bound is sound at the default tolerance only, which is the signature's without --tol.
+    gp = max(sig.n_plus, sig.n_minus) if tol is None else graham_pollak_lower_bound(g)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -93,7 +95,7 @@ def bounds(graph_path: str, tol: float | None) -> None:
         "n_minus": sig.n_minus,
         "tol": sig.tol,
         "ambiguous": sig.ambiguous,
-        "graham_pollak_lower_bound": graham_pollak_lower_bound(g),
+        "graham_pollak_lower_bound": gp,
     }
     click.echo(json.dumps(payload, indent=2))
 

@@ -4,12 +4,13 @@ Vertices are 0..n-1 and every adjacency row is a Python int used as a
 bitset, which keeps the neighborhood intersections at the heart of every
 search in this package cheap up to a few thousand vertices.  Graphs are
 immutable after construction and safe to share across threads.  This module
-also holds the private mask helpers (submasks, common neighborhoods, greedy
-independent passes, ``_strip``, which removes a biclique's cross edges, and
-``_packed``, the one bridge from bitmask rows to a packed numpy bit array)
-that the other modules share.  ``_strip`` serves the coverage game and the
-exact partition search; ``_packed`` feeds the symmetry check of ``Graph``,
-the inertia in ``spectral`` and the neighbor counts of ``_swap_polish``.
+also holds the private mask helpers that the other modules share: submasks,
+common neighborhoods, greedy independent passes, ``_independent`` (the one
+independence check), ``_alpha_branch_and_bound`` (the one exact
+independent-set search), ``_strip`` (removes a biclique's cross edges, for
+the coverage game and the exact partition search) and ``_packed`` (the one
+bridge from bitmask rows to packed numpy bits, for the symmetry check of
+``Graph``, the inertia in ``spectral`` and ``_swap_polish``).
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from ``random.Random(seed)`` (the Mersenne
@@ -155,6 +156,11 @@ def _greedy_independent(rows: Sequence[int], order: Iterable[int], start: int = 
         if not rows[v] & s:
             s |= 1 << v
     return s
+
+
+def _independent(rows: Sequence[int], mask: int) -> bool:
+    """True iff no two members of ``mask`` are adjacent."""
+    return not any(rows[v] & mask for v in iter_bits(mask))
 
 
 def _strip(rows: Sequence[int], a_mask: int, b_mask: int) -> tuple[int, ...]:
@@ -406,9 +412,8 @@ def independence_number_exact(g: Graph, budget: int = 2_000_000) -> AlphaResult:
     size, mask, complete, nodes = _alpha_branch_and_bound(
         g.adj, g.vertex_mask, budget, (warm.bit_count(), warm)
     )
-    for v in iter_bits(mask):
-        if g.adj[v] & mask:
-            raise AssertionError("independent-set witness touches an edge")
+    if not _independent(g.adj, mask):
+        raise AssertionError("independent-set witness touches an edge")
     return AlphaResult(size, VertexSet(mask, g.n), complete, nodes)
 
 
@@ -555,9 +560,8 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
             best_size, best_mask = size2, mask2
     # Ensure maximality before returning.
     best_mask = _greedy_independent(adj, range(n), best_mask)
-    for v in iter_bits(best_mask):
-        if adj[v] & best_mask:
-            raise AssertionError("search produced a non-independent set")
+    if not _independent(adj, best_mask):
+        raise AssertionError("search produced a non-independent set")
     return VertexSet(best_mask, n)
 
 

@@ -230,10 +230,9 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
             rec.tau_status = res.status
             if res.status == EXACT:
                 rec.tau_exact = int(res.value)
-        if 0 < n <= cfg.beta_exact_max_n and g.m > 0:
+        if n <= cfg.beta_exact_max_n and g.m > 0:
             beta_part = largest_induced_biclique(g, "exact")
-            if beta_part is not None:
-                rec.alon_upper = n - (beta_part.a | beta_part.b).bit_count() + 1
+            rec.alon_upper = n - (beta_part.a | beta_part.b).bit_count() + 1
         if rec.gp_bound > rec.tau_upper:
             rec.violations.append("gp_bound above n - alpha")
         if rec.tau_exact is not None:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import (
     Graph,
     VertexSet,
+    _alpha_branch_and_bound,
     _common_mask,
     _greedy_independent,
+    _independent,
     _is_int_list,
     _strip,
     _submasks,
@@ -168,9 +170,8 @@ def star_decomposition(g: Graph, independent: VertexSet | Iterable[int]) -> Bicl
     imask = mask_of(independent)
     if imask >> g.n:
         raise ValueError("independent set contains out-of-range vertices")
-    for v in iter_bits(imask):
-        if g.adj[v] & imask:
-            raise ValueError("the given vertex set is not independent")
+    if not _independent(g.adj, imask):
+        raise ValueError("the given vertex set is not independent")
     return BicliquePartition(g, tuple(_stars_outside(g, imask)))
 
 
@@ -179,10 +180,7 @@ def is_induced_biclique(g: Graph, part: Biclique) -> bool:
     a, b = part.a, part.b
     if (a | b) >> g.n:
         return False
-    for v in iter_bits(a):
-        if g.adj[v] & a or g.adj[v] & b != b:
-            return False
-    return not any(g.adj[v] & b for v in iter_bits(b))
+    return _independent(g.adj, a) and _independent(g.adj, b) and _common_mask(g.adj, b, a) == b
 
 
 def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartition:
@@ -198,21 +196,6 @@ def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartitio
     return BicliquePartition(g, tuple(parts))
 
 
-def _alpha_mask(adj: Sequence[int], mask: int, memo: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    """Largest independent subset of ``mask``: (size, witness mask).  Memoized."""
-    if not mask:
-        return 0, 0
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    v = (mask & -mask).bit_length() - 1
-    s_out, w_out = _alpha_mask(adj, mask & ~(1 << v), memo)
-    s_in, w_in = _alpha_mask(adj, mask & ~adj[v] & ~(1 << v), memo)
-    result = (s_in + 1, w_in | (1 << v)) if s_in + 1 > s_out else (s_out, w_out)
-    memo[mask] = result
-    return result
-
-
 _EXACT_BETA_LIMIT = 18
 
 
@@ -221,11 +204,11 @@ def largest_induced_biclique(
 ) -> Biclique | None:
     """Induced complete bipartite subgraph maximizing |a| + |b|.
 
-    Exact mode (n <= 18) enumerates independent sets for the a-side and
-    completes each with a maximum independent subset of its common
-    neighborhood.  Heuristic mode runs seeded alternating growth and
-    returns the best found.  Returns None on edgeless graphs, where no
-    biclique exists at all.
+    Exact mode (n <= 18) completes each independent a side, in ascending
+    preorder, with a maximum independent subset of its common neighborhood
+    from ``_alpha_branch_and_bound``.  Heuristic mode runs seeded
+    alternating growth and returns the best found.  Returns None on
+    edgeless graphs, where no biclique exists at all.
     """
     if effort == "exact" and g.n > _EXACT_BETA_LIMIT:
         raise ValueError(f"exact induced-biclique search refused for n > {_EXACT_BETA_LIMIT}")
@@ -240,33 +223,25 @@ def largest_induced_biclique(
 
 def _largest_induced_exact(g: Graph) -> Biclique:
     adj = g.adj
-    full = g.vertex_mask
-    memo: dict[int, tuple[int, int]] = {}
-    best_size = 0
-    best: tuple[int, int] | None = None
-
-    def extend(a_mask: int, cn: int, cand: int) -> None:
-        nonlocal best_size, best
-        if a_mask:
-            if a_mask.bit_count() + cn.bit_count() > best_size and cn:
-                b_size, b_mask = _alpha_mask(adj, cn, memo)
-                if b_size and a_mask.bit_count() + b_size > best_size:
-                    best_size = a_mask.bit_count() + b_size
-                    best = (a_mask, b_mask)
-        w = cand
-        while w:
-            low = w & -w
-            v = low.bit_length() - 1
-            w ^= low
-            new_a = a_mask | low
+    best_size, best = 0, (0, 0)
+    # (a side, its common neighborhood, the higher nonadjacent vertices it may grow by)
+    stack = [(0, 0, g.vertex_mask)]
+    while stack:
+        a_mask, cn, cand = stack.pop()
+        size = a_mask.bit_count()
+        if cn and size + cn.bit_count() > best_size:
+            got, b_mask, complete, _ = _alpha_branch_and_bound(
+                adj, cn, 1 << (cn.bit_count() + 1), (best_size - size, 0)
+            )
+            assert complete  # an include/exclude tree over k vertices has < 2^(k+1) nodes
+            if size + got > best_size:
+                best_size, best = size + got, (a_mask, b_mask)
+        if a_mask and (not cn or size + cn.bit_count() + cand.bit_count() <= best_size):
+            continue  # a child adds vertices of cand and keeps part of cn: none can win
+        # Highest vertex pushed first, so children pop in ascending order (preorder).
+        for v in reversed(list(iter_bits(cand))):
             new_cn = (cn & adj[v]) if a_mask else adj[v]
-            new_cn &= ~new_a
-            # Only extend with higher-indexed nonadjacent vertices.
-            extend(new_a, new_cn, w & ~adj[v])
-
-    extend(0, 0, full)
-    if best is None:
-        raise AssertionError("graph with edges must contain at least a single-edge biclique")
+            stack.append((a_mask | (1 << v), new_cn, (cand >> (v + 1) << (v + 1)) & ~adj[v]))
     return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
 
 

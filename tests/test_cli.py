@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from bipart import spectral
 from bipart.cli import main
-from bipart.graphs import Graph, write_edge_list
+from bipart.graphs import GnpSpec, Graph, sample_gnp, write_edge_list
 
 
 @pytest.fixture
@@ -56,6 +57,27 @@ class TestBounds:
         bad.write_text("2 1\n0 0\n")
         result = runner.invoke(main, ["bounds", "--graph", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("g, expected", [
+        (Graph.complete(5), {"n": 5, "m": 10, "n_plus": 1, "n_zero": 0, "n_minus": 4,
+                             "tol": 5e-08, "ambiguous": False, "graham_pollak_lower_bound": 4}),
+        (sample_gnp(GnpSpec(60, 0.5, 7)), {"n": 60, "m": 910, "n_plus": 28, "n_zero": 0,
+                                           "n_minus": 32, "tol": 6e-07, "ambiguous": False,
+                                           "graham_pollak_lower_bound": 32}),
+    ], ids=["k5", "gnp60"])
+    def test_one_eigen_solve_without_tol(self, runner, tmp_path, monkeypatch, g, expected):
+        calls = []
+        solve = spectral._eigenvalues
+        monkeypatch.setattr(spectral, "_eigenvalues", lambda rows, n: calls.append(n) or solve(rows, n))
+        path = write_graph(tmp_path / "g.txt", g)
+        result = runner.invoke(main, ["bounds", "--graph", path])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == expected
+        assert calls == [g.n]
+        # A given tolerance classifies the signature; the bound keeps the default one.
+        result = runner.invoke(main, ["bounds", "--graph", path, "--tol", str(expected["tol"])])
+        assert json.loads(result.output) == expected
+        assert calls == [g.n] * 3
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, runner, tmp_path, tol):

@@ -121,9 +121,9 @@ WITNESS_DIGESTS = {
     "tau_strong": "c9732f2417ccd16974792ea9dfd93b8e791af22d37f2d94b506079f28fc847ee",
     "star_decomposition": "2a7b06126903393fcfe5e4b45b90f061af4420138c0eed36b52f70faf18398e1",
     "normalize_stars_first": "13f9ee29e5d107ce9aa33d8d20fa26df918817432faa9d6581e7f1099fcf3c17",
-    "biclique_exact": "533a4aafd4be38fdd3ee6bcc632b0a88f4ab0f1fbb72a58107eb906359b88d68",
+    "biclique_exact": "31f2359fed10b27e244f3cacb1e269746218c7c98e6401e04eedda8772e756b4",
     "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
-    "star_plus_exact": "79e025b44ebf6035436360699c45a1a1182dee4cbbbf35f930157f1fbce01b22",
+    "star_plus_exact": "a7fd453cfec28c7bdbd91650e8a3832cb55230bae5e2138e8c0e14916e069aac",
     "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
     "budget_outs": "cf6f6c7eca8d7c5aaf87e340a292065be412e8268fa5400dabe8f54bb636452d",
 }

@@ -228,11 +228,14 @@ class TestLargestInducedBiclique:
             largest_induced_biclique(Graph.empty(19) , "exact")
 
     def test_matches_brute(self):
-        for s in range(40):
-            g = sample_gnp(GnpSpec(7, 0.5, 80_000 + s))
-            b = largest_induced_biclique(g)
-            got = 0 if b is None else (b.a | b.b).bit_count()
-            assert got == beta_brute(g), s
+        for n in range(2, 11):
+            for p in (0.3, 0.5, 0.7):
+                for s in range(4):
+                    g = sample_gnp(GnpSpec(n, p, 80_000 + 100 * n + 10 * s + int(10 * p)))
+                    b = largest_induced_biclique(g)
+                    got = 0 if b is None else (b.a | b.b).bit_count()
+                    assert got == beta_brute(g), (n, p, s)
+                    assert b is None or is_induced_biclique(g, b), (n, p, s)
 
     def test_heuristic_output_is_induced(self):
         for s in range(20):
