@@ -1,9 +1,10 @@
 import json
+import threading
 import time
 
 import pytest
 
-from bipart import harness
+from bipart import harness, spectral
 from bipart.graphs import Graph, sample_gnp
 from bipart.harness import (
     ExperimentConfig,
@@ -76,6 +77,58 @@ class TestBoundsExperiment:
         for rec in report.records:
             assert rec.alpha_exact is False
             assert rec.tau_exact is None  # beyond the exact-tau regime
+
+
+class TestBoundsWorker:
+    """The GP bound runs on one worker thread per bounds run, beside the alpha step."""
+
+    def _raises_same(self, cfg, boom):
+        before = threading.active_count()
+        with pytest.raises(type(boom)) as caught:
+            run_bounds_experiment(cfg)
+        assert caught.value is boom
+        assert threading.active_count() == before
+
+    def test_search_failure_reraised_and_worker_joined(self, monkeypatch):
+        boom = RuntimeError("search failed")
+
+        def failing_search(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(harness, "independent_set_search", failing_search)
+        self._raises_same(ExperimentConfig(kind="bounds", n=80, p=0.5, trials=2, seed=7), boom)
+
+    def test_eigen_failure_reraised_and_worker_joined(self, monkeypatch):
+        boom = ArithmeticError("eigenvalue computation failed to converge")
+
+        def failing_eigenvalues(rows, n):
+            raise boom
+
+        monkeypatch.setattr(spectral, "_eigenvalues", failing_eigenvalues)
+        self._raises_same(
+            ExperimentConfig(kind="bounds", n=80, p=0.5, trials=2, seed=7, search_rounds=1), boom
+        )
+
+    def test_one_worker_per_run(self, monkeypatch):
+        cfg = ExperimentConfig(kind="bounds", n=80, p=0.5, trials=3, seed=7, search_rounds=1)
+        assert cfg.n > cfg.alpha_exact_max_n
+        plain = emit_report(run_bounds_experiment(cfg), "json")
+        threads = []
+
+        def recording_bound(g):
+            # Thread objects, not idents: an exited thread's ident can be reused.
+            threads.append(threading.current_thread())
+            return spectral.graham_pollak_lower_bound(g)
+
+        monkeypatch.setattr(harness, "graham_pollak_lower_bound", recording_bound)
+        before = threading.active_count()
+        report = run_bounds_experiment(cfg)
+        assert threading.active_count() == before
+        assert len(threads) == cfg.trials
+        assert threading.current_thread() not in threads
+        assert len(set(threads)) == 1
+        assert not threads[0].is_alive()
+        assert emit_report(report, "json") == plain
 
 
 class TestDensityCheck:
