@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before anything imports numpy (BLAS reads these once, at
+# import): a bounds trial's eigen-solve runs on a worker thread beside the
+# independent-set search, and BLAS threads of its own would compete with that.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import random
 
 from hypothesis import strategies as st

@@ -7,10 +7,31 @@ must stay decoupled from the code paths they check.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import combinations, permutations
 
 from bipart.graphs import Graph, iter_bits, mask_of
+
+
+def gnp_rows_reference(n: int, p: float, seed: int) -> tuple[int, ...]:
+    """Reference for ``bipart.graphs.sample_gnp``: one ``random()`` call per pair.
+
+    Pairs are visited in lexicographic order (0,1), (0,2), ..., (n-2,n-1), each
+    consuming one deviate of ``random.Random(seed)``; returns the adjacency rows.
+    """
+    rng = random.Random(seed)
+    rnd = rng.random
+    rows = [0] * n
+    bit = [1 << i for i in range(n)]
+    for u in range(n - 1):
+        ru = rows[u]
+        for v in range(u + 1, n):
+            if rnd() < p:
+                ru |= bit[v]
+                rows[v] |= bit[u]
+        rows[u] = ru
+    return tuple(rows)
 
 
 def graph_rows_reference(n: int, adj) -> int:
