@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     Graph,
@@ -177,12 +177,15 @@ def max_coverage_exact(
 ) -> tuple[int, CoverageTrace]:
     """Exact maximum total coverage over all orders and right-side choices.
 
-    Exhaustive with two reductions that preserve exactness: the order
-    enumeration is folded into a memoized search over (remaining sets,
-    current edge state), and right-side choices are enumerated only over
-    vertices that can still interact with a not-yet-played set (members of
-    one, or adjacent to a member); all other eligible vertices are always
-    taken, which is never worse now and provably irrelevant later.
+    Depth-first branch and bound.  Right-side choices are enumerated only
+    over vertices that can still interact with a not-yet-played set
+    (members of one, or adjacent to a member); all other eligible vertices
+    are always taken, which is never worse now and provably irrelevant
+    later.  A state already expanded with at least as much coverage is
+    skipped, and a node or move that could not beat the best play even if
+    every remaining set took its single-set ceiling is pruned.  The trace
+    is the first optimal play with sets tried in index order and right
+    sides from largest down.  There is no node budget.
 
     Refused above 8 sets or 12 universe vertices; use ``max_coverage_greedy``
     beyond that.
@@ -195,7 +198,6 @@ def max_coverage_exact(
         raise ValueError(
             f"exact coverage refused for more than {_MAX_EXACT_UNIVERSE} universe vertices"
         )
-    k = len(set_masks)
     full = (1 << nloc) - 1
     sizes = [m.bit_count() for m in set_masks]
     # Influence sphere of each set: its members plus their neighbors in G[U].
@@ -206,59 +208,48 @@ def max_coverage_exact(
             sphere |= rows0[v]
         influence.append(sphere)
 
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def moves(remaining: int, rows: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
-        """Every (set, sets left after it, right side, gain) playable next."""
-        for j in iter_bits(remaining):
+    # Explicit stack of (sets left, rows, edges covered, play so far as
+    # (set, right side) pairs).  Children are pushed in reverse so they pop
+    # in move order, and only a strictly better leaf replaces the incumbent.
+    total, best_play = -1, ()
+    reached: dict[tuple[int, tuple[int, ...]], int] = {}
+    stack = [((1 << len(set_masks)) - 1, rows0, 0, ())]
+    while stack:
+        remaining, rows, value, play = stack.pop()
+        if not remaining:
+            if value > total:
+                total, best_play = value, play
+            continue
+        if reached.get((remaining, rows), -1) >= value:
+            continue
+        sides = [(j, _common_mask(rows, full, set_masks[j])) for j in iter_bits(remaining)]
+        slack = value + sum(sizes[j] * cn.bit_count() for j, cn in sides) - total
+        if slack <= 0:
+            continue
+        reached[remaining, rows] = value  # expanded states only, so pruning saves memory
+        children = []
+        for j, cn in sides:
             rest = remaining ^ (1 << j)
+            cap = sizes[j] * cn.bit_count() - slack  # gaining no more than this cannot win
             relevant = 0
             for i in iter_bits(rest):
                 relevant |= influence[i]
-            cn = _common_mask(rows, full, set_masks[j])
             undecided = cn & relevant
             base = cn & ~undecided
             for sub in _submasks(undecided):
                 l_mask = base | sub
-                yield j, rest, l_mask, sizes[j] * l_mask.bit_count()
+                gain = sizes[j] * l_mask.bit_count()
+                if gain > cap:
+                    children.append((rest, _strip(rows, set_masks[j], l_mask), value + gain,
+                                     play + ((j, l_mask),)))
+        stack.extend(reversed(children))
 
-    def solve(remaining: int, rows: tuple[int, ...]) -> int:
-        if not remaining:
-            return 0
-        key = (remaining, rows)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = 0
-        for j, rest, l_mask, gain in moves(remaining, rows):
-            value = gain + solve(rest, _strip(rows, set_masks[j], l_mask))
-            if value > best:
-                best = value
-        memo[key] = best
-        return best
-
-    total = solve((1 << k) - 1, rows0)
-
-    # Reconstruct one optimal trace by replaying the memoized values.
-    order: list[int] = []
-    choices: list[tuple[int, ...]] = []
-    covered: list[tuple[tuple[int, int], ...]] = []
-    remaining = (1 << k) - 1
-    rows = rows0
-    need = total
-    while remaining:
-        for j, rest, l_mask, gain in moves(remaining, rows):
-            after = _strip(rows, set_masks[j], l_mask)
-            if gain + solve(rest, after) == need:
-                break
-        else:
-            raise AssertionError("trace reconstruction lost the optimum")
-        order.append(j)
-        choices.append(tuple(verts[i] for i in iter_bits(l_mask)))
-        covered.append(_cross_edges(verts, set_masks[j], l_mask))
-        rows, remaining, need = after, rest, need - gain
-
-    trace = CoverageTrace(tuple(order), tuple(choices), tuple(covered), total)
+    trace = CoverageTrace(
+        tuple(j for j, _ in best_play),
+        tuple(tuple(verts[i] for i in iter_bits(l_mask)) for _, l_mask in best_play),
+        tuple(_cross_edges(verts, set_masks[j], l_mask) for j, l_mask in best_play),
+        total,
+    )
     # Sanity ceiling: no play can beat the sum of single-set coverages in G[U].
     ceiling = 0
     for m in set_masks:
@@ -668,11 +659,15 @@ def uncovered_lower_bound(
 
     # Pair certificate on exclusively-owned 2-set vertices.  Ownership is
     # counted across the whole family so larger sets cannot sneak in a cover.
-    once, _ = _ownership(fam.sets)
+    once, owner = _ownership(fam.sets)
     fam2 = CoverageFamily.of(fam.universe, [s for s in fam.sets if len(s) == 2])
-    s_all, t_all = exclusive_split(fam2)
-    keep = VertexSet(s_all.mask & once, g.n)
-    pair_bound = blocked_edge_count(g, fam2, keep, t_all) if keep else 0
+    keep = VertexSet(exclusive_split(fam2)[0].mask & once, g.n)
+    # A kept vertex's one set is its 2-set, so its owner names its partner.
+    partners = 0
+    for v in keep:
+        partners |= owner[v] ^ (1 << v)
+    t = VertexSet(partners, g.n)
+    pair_bound = blocked_edge_count(g, fam2, keep, t) if keep else 0
 
     # Witness certificate over the small tier.  Vertices touched by any set
     # outside the tier are excluded from the pool, so every left side meeting
@@ -703,6 +698,5 @@ def uncovered_lower_bound(
             except PeelingError as exc:
                 note = f"witness peeling failed after {exc.steps} steps"
 
-    t_partners = t_all.as_tuple() if keep else ()
     return CoverageBound(max(pair_bound, witness_bound), pair_bound, witness_bound,
-                         keep.as_tuple(), t_partners, witness, note)
+                         keep.as_tuple(), t.as_tuple(), witness, note)

@@ -454,6 +454,14 @@ class TestUncoveredLowerBound:
         assert bound.value >= 1
         assert bound.pair_bound == 1
 
+    def test_partners_only_of_kept_vertices(self):
+        # Vertex 0 lies in two sets, so the pair certificate drops it and
+        # must not report its partner 1.
+        g = Graph.from_edges(6, [(0, 2), (1, 3), (2, 4), (0, 4)])
+        fam = CoverageFamily.of(range(6), [(0, 1), (2, 3), (0, 4, 5)])
+        bound = uncovered_lower_bound(g, range(6), fam, 1.0, 2.0)
+        assert (bound.s, bound.t) == ((2,), (3,))
+
     def test_frozen_instance_bound_at_most_three(self):
         # Frozen: this instance's exhaustive-completion minimum leaves 3 edges
         # uncovered (13 edges, exact coverage maximum 10).

@@ -54,10 +54,33 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+SOURCES = sorted(p for p in Path(bipart.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
 # The package __init__ imports only to re-export; test_package_reexports_are_public checks those.
-@pytest.mark.parametrize(
-    "path", sorted(p for p in Path(bipart.__file__).parent.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.stem,
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert _unused_imports(path) == []
+
+
+def _self_calls(path: Path) -> list[str]:
+    """Functions that call their own name, as ``f(...)``, ``self.f(...)`` or
+    ``cls.f(...)``, anywhere in their body."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and getattr(callee.value, "id", None) in ("self", "cls"):
+                    callee = ast.Name(callee.attr)
+                if isinstance(callee, ast.Name) and callee.id == fn.name:
+                    found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+# Every exhaustive routine runs on an explicit stack, so no input can raise RecursionError.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_module_has_no_recursion(path):
+    assert _self_calls(path) == []

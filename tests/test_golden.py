@@ -15,6 +15,7 @@ from bipart.coverage import (
     PeelingError,
     blocked_edge_count,
     exclusive_split,
+    max_coverage_exact,
     peel_witness,
     shielded_edge_count,
     uncovered_lower_bound,
@@ -174,7 +175,7 @@ CERTIFICATE_BASES = (1.001, 1.1, 2.0, 4.0)
 CERTIFICATE_DIGESTS = {
     "exclusive_split": "44090259fa15926da6a327de5d9ac2edae144c7113d3659a20b5aec9a22243b3",
     "blocked_edge_count": "111ad976cdfc2a32b27f994867eb55c0cd6295b9c545d2052b6b86746cb23aba",
-    "uncovered_lower_bound": "1ab4216ceff4b6d89cb19b381c2f075747b7a34e1ea58b15add2ed48f53aab58",
+    "uncovered_lower_bound": "9653f8fb712631e0619a82b701013aac15e52394da123807f156ba6327d06cb0",
     "peel_witness": "1685209918fcb471e027c9f08d54db0e5c6ac3ae81df7fba0f87503c41c2bb4e",
     "shielded_edge_count": "9556287e3b1810c4c0cfbce4b8169639f182d9ea3453def2167aa65c35e67b1e",
 }
@@ -243,3 +244,25 @@ def test_certificate_digests():
     for key, expected in CERTIFICATE_DIGESTS.items():
         got = hashlib.sha256(json.dumps(outputs[key]).encode()).hexdigest()
         assert got == expected, key
+
+
+# Families shaped like the bench's exact-small coverage cells, (sets, universe
+# size, p) with 2- or 3-sets, plus 6-8 sets at u <= 10.  The graph has two
+# vertices outside the universe, so the relabelling is pinned too.
+TRACE_CELLS = [(3, 12, 0.5), (4, 11, 0.5), (5, 10, 0.5), (3, 10, 0.8), (3, 11, 0.8),
+               (6, 10, 0.5), (7, 9, 0.5), (8, 8, 0.5), (6, 8, 0.8), (8, 10, 0.3)]
+TRACE_DIGEST = "0bd24d2e23dbbf5b3ef563a8ee8ff286b18c0959f1c03ae1bbcaeb3899b13bc2"
+
+
+def test_coverage_trace_digest():
+    """Which optimal play max_coverage_exact returns, not only its value."""
+    out = []
+    for k, u, p in TRACE_CELLS:
+        rng = random.Random(1000 * k + 100 * u + int(10 * p))
+        for _ in range(3):
+            g = sample_gnp(GnpSpec(u + 2, p, rng.getrandbits(64)))
+            universe = rng.sample(range(u + 2), u)
+            sets = [rng.sample(universe, 2 if rng.random() < 0.7 else 3) for _ in range(k)]
+            value, trace = max_coverage_exact(g, universe, CoverageFamily.of(universe, sets))
+            out.append([value, trace.order, trace.choices, trace.covered])
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == TRACE_DIGEST
