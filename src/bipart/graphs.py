@@ -9,8 +9,11 @@ common neighborhoods, greedy independent passes, ``_independent`` (the one
 independence check), ``_alpha_branch_and_bound`` (the one exact
 independent-set search), ``_strip`` (removes a biclique's cross edges, for
 the coverage game and the exact partition search) and ``_packed`` (the one
-bridge from bitmask rows to packed numpy bits, for the symmetry check of
-``Graph``, the inertia in ``spectral`` and ``_swap_polish``).
+bridge from bitmask rows to packed numpy bits).  ``Graph`` keeps its rows
+packed as ``Graph.packed``, built once for its symmetry check and read by
+``independent_set_search`` (through ``_swap_polish``), ``edge_count_within``
+and the balanced-side heuristic here and by ``validate_partition`` in
+``partition``; ``spectral`` packs the rows it is given for the inertia.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from the Mersenne Twister stream of
@@ -132,10 +135,58 @@ def _mask_in(vertices: VertexSet | Iterable[int], n: int) -> int:
 
 
 def _packed(rows: Sequence[int], n: int) -> np.ndarray:
-    """Rows as an (n, ceil(n/8)) uint8 array of little-endian bits; each row must fit."""
+    """Rows as a read-only (len(rows), ceil(n/8)) uint8 array of little-endian
+    bits; each row must fit in n bits."""
     nbytes = (n + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _selector(mask: int, n: int) -> np.ndarray:
+    """The members of ``mask`` as a length-n bool array, to pick rows of a packed matrix."""
+    return np.unpackbits(_packed((mask,), n)[0], count=n, bitorder="little").view(bool)
+
+
+def _column_sums(packed: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """int32 column sums of the selected rows of a packed (n, ceil(n/8)) matrix.
+
+    For adjacency rows, entry y is the number of selected neighbors of y.
+    Only the selected rows are unpacked.
+    """
+    rows = np.unpackbits(packed[selected], axis=1, count=packed.shape[0], bitorder="little")
+    return rows.sum(axis=0, dtype=np.int32)
+
+
+# Rows handled at a time by sample_gnp and the block checks; a multiple of 8,
+# so blocks start on a byte.
+_ROW_BLOCK = 64
+
+
+def _row_col_blocks(packed: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per block of ``_ROW_BLOCK`` rows from ``lo`` of a packed (n, ceil(n/8)) matrix:
+    (lo, those rows, the same columns transposed), both unpacked to 0/1 bytes.
+
+    The matrix is symmetric iff the two agree on every block, and no n x n
+    array is built.
+    """
+    n = packed.shape[0]
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = np.unpackbits(packed[lo:lo + _ROW_BLOCK], axis=1, count=n, bitorder="little")
+        cols = np.unpackbits(packed[:, lo // 8:(lo + _ROW_BLOCK) // 8], axis=1, bitorder="little")
+        yield lo, rows, cols[:, :len(rows)].T
+
+
+def _pairs_are_edges(g: Graph, rows: Sequence[int]) -> bool:
+    """True iff the pairs {x, y} with y in ``rows[x]`` are exactly the edges of g.
+
+    Compares ``rows`` together with their transpose against ``g.packed``, block
+    by block, so no n x n array is built.
+    """
+    return all(
+        np.array_equal(np.packbits(block | cols, axis=1, bitorder="little"),
+                       g.packed[lo:lo + len(block)])
+        for lo, block, cols in _row_col_blocks(_packed(rows, g.n))
+    )
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -190,6 +241,8 @@ class Graph:
     # storage, after which every ``g.adj`` read on it is about 3x slower.
     m: int = field(init=False, repr=False, compare=False)
     vertex_mask: int = field(init=False, repr=False, compare=False)
+    # ``_packed(adj, n)``: the rows as read-only packed bits, n^2/8 bytes.
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -202,20 +255,18 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has out-of-range neighbors")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry: each block of 8 rows against the same 8 columns, so no n x n
-        # matrix is built.  A failing graph is scanned for the pair to report: the
-        # first listed only by its smaller endpoint, else only by its larger one.
+        # Symmetry, block by block.  A failing graph is scanned for the pair to
+        # report: the first listed only by its smaller endpoint, else only by its
+        # larger one.
         packed = _packed(self.adj, self.n)
-        for j in range(packed.shape[1]):
-            block = np.unpackbits(packed[8 * j:8 * j + 8], axis=1, count=self.n, bitorder="little")
-            cols = np.unpackbits(packed[:, j:j + 1], axis=1, bitorder="little")
-            if not np.array_equal(block, cols[:, :len(block)].T):
-                one_way = [(v, u) for v, row in enumerate(self.adj) for u in iter_bits(row)
-                           if not (self.adj[u] >> v) & 1]
-                v, u = sorted(min(one_way, key=lambda vu: vu[0] > vu[1]))
-                raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        if not all(np.array_equal(rows, cols) for _, rows, cols in _row_col_blocks(packed)):
+            one_way = [(v, u) for v, row in enumerate(self.adj) for u in iter_bits(row)
+                       if not (self.adj[u] >> v) & 1]
+            v, u = sorted(min(one_way, key=lambda vu: vu[0] > vu[1]))
+            raise ValueError(f"asymmetric adjacency between {v} and {u}")
         object.__setattr__(self, "m", sum(row.bit_count() for row in self.adj) // 2)
         object.__setattr__(self, "vertex_mask", full)
+        object.__setattr__(self, "packed", packed)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.adj[u] >> v) & 1 == 1
@@ -284,7 +335,6 @@ class GnpSpec:
             raise ValueError("seed must fit in 64 bits")
 
 
-_ROW_BLOCK = 64  # rows of pairs drawn at a time; a multiple of 8, so blocks start on a byte
 _generators = threading.local()  # one legacy RandomState per thread, reseeded on each call
 
 
@@ -498,7 +548,7 @@ def _swap_polish(
 ) -> tuple[int, int]:
     """Plateau walk with (1,1)-swaps and free-vertex insertions on an independent set.
 
-    ``packed`` is ``_packed(adj, n)``.  ``cnt[v]`` counts the neighbors of v in
+    ``packed`` is ``Graph.packed``.  ``cnt[v]`` counts the neighbors of v in
     the set and moves by one unpacked row per insertion or removal.  The walk
     draws exactly as a walk over Python lists would: ``np.flatnonzero`` lists
     free and tight vertices in ascending order, and ``.tolist()`` hands
@@ -506,10 +556,8 @@ def _swap_polish(
     same draw (and ``1 << v`` cannot overflow a numpy integer).
     """
     s = smask
-    inside = np.zeros(n, dtype=bool)
-    inside[list(iter_bits(s))] = True
-    rows = np.unpackbits(packed[inside], axis=1, count=n, bitorder="little")
-    cnt = rows.sum(axis=0, dtype=np.int32)
+    inside = _selector(s, n)
+    cnt = _column_sums(packed, inside)
 
     def add(v: int) -> None:
         nonlocal s, cnt
@@ -567,14 +615,13 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
     if n == 0:
         return VertexSet(0, 0)
     adj = g.adj
-    packed = _packed(adj, n)
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     for _ in range(rounds):
         size, mask = _beam_with_exact_finish(adj, n, rng, best_size)
         if size > best_size:
             best_size, best_mask = size, mask
-        size2, mask2 = _swap_polish(adj, n, packed, mask or best_mask, rng, _POLISH_MOVES)
+        size2, mask2 = _swap_polish(adj, n, g.packed, mask or best_mask, rng, _POLISH_MOVES)
         if size2 > best_size:
             best_size, best_mask = size2, mask2
     # Ensure maximality before returning.
@@ -585,9 +632,14 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
 
 
 def edge_count_within(g: Graph, vertices: VertexSet | Iterable[int]) -> int:
-    """e(U): the number of edges of g with both endpoints in the given set."""
+    """e(U): the number of edges of g with both endpoints in the given set.
+
+    The packed rows of U, masked to U's own bits, hold each such edge twice.
+    """
     mask = _mask_in(vertices, g.n)
-    return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+    inside = _selector(mask, g.n)
+    within = g.packed[inside] & np.packbits(inside, bitorder="little")
+    return int(np.bitwise_count(within).sum()) // 2
 
 
 def density_deviation(g: Graph, vertices: VertexSet | Iterable[int], p: float) -> float:
@@ -656,6 +708,15 @@ def _balanced_side_exact(g: Graph) -> int:
 
 
 def _balanced_side_heuristic(g: Graph, budget: int, seed: int) -> int:
+    """Seeded greedy restarts: grow A by the vertex keeping its common
+    neighborhood cn largest, ties drawn among the three lowest.
+
+    ``score[x]`` is |cn & N(x)|, the column sums of cn's rows of ``g.packed``;
+    when vertices leave cn their rows are subtracted.  ``np.flatnonzero``
+    lists the ties in ascending order and ``rng.choice`` gets a list of Python
+    ints, so every draw and the result are those of a per-vertex loop over
+    the int rows.
+    """
     rng = random.Random(seed)
     n = g.n
     if g.m == 0:
@@ -666,25 +727,23 @@ def _balanced_side_heuristic(g: Graph, budget: int, seed: int) -> int:
     while steps < budget:
         start = rng.randrange(n)
         a_mask = 1 << start
+        outside = np.ones(n, dtype=bool)
+        outside[start] = False
         cn = adj[start]
+        score = _column_sums(g.packed, _selector(cn, n))
         while steps < budget:
             steps += 1
-            # Grow A by the vertex keeping the common neighborhood largest.
-            top_score, top = -1, []
-            for x in range(n):
-                bx = 1 << x
-                if a_mask & bx:
-                    continue
-                score = (cn & adj[x] & ~bx).bit_count()
-                if score > top_score:
-                    top_score, top = score, [x]
-                elif score == top_score:
-                    top.append(x)
+            masked = np.where(outside, score, -1)
+            top_score = masked.max()
             if top_score <= 0:
                 break
-            x = top[0] if len(top) == 1 else rng.choice(top[:3])
+            top = np.flatnonzero(masked == top_score)[:3].tolist()
+            x = top[0] if len(top) == 1 else rng.choice(top)
             a_mask |= 1 << x
-            cn = cn & adj[x] & ~(1 << x)
+            outside[x] = False
+            stay = cn & adj[x] & ~(1 << x)
+            score -= _column_sums(g.packed, _selector(cn & ~stay, n))
+            cn = stay
             best = max(best, min(a_mask.bit_count(), cn.bit_count()))
     return best
 

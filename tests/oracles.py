@@ -233,6 +233,53 @@ def balanced_side_brute(g: Graph) -> int:
     return best
 
 
+def balanced_side_heuristic_reference(g: Graph, budget: int, seed: int) -> int:
+    """Reference for ``bipart.graphs._balanced_side_heuristic``: the per-vertex loop.
+
+    Each restart grows A from a random vertex by the vertex x outside A that
+    keeps |cn & N(x)| largest, where cn is A's common neighborhood, and draws
+    among the three lowest tied vertices.  Consumes the same ``random.Random(seed)``
+    draws and returns the same k.
+    """
+    rng = random.Random(seed)
+    n = g.n
+    if g.m == 0:
+        return 0
+    adj = g.adj
+    best = 1
+    steps = 0
+    while steps < budget:
+        start = rng.randrange(n)
+        a_mask = 1 << start
+        cn = adj[start]
+        while steps < budget:
+            steps += 1
+            top_score, top = -1, []
+            for x in range(n):
+                bx = 1 << x
+                if a_mask & bx:
+                    continue
+                score = (cn & adj[x] & ~bx).bit_count()
+                if score > top_score:
+                    top_score, top = score, [x]
+                elif score == top_score:
+                    top.append(x)
+            if top_score <= 0:
+                break
+            x = top[0] if len(top) == 1 else rng.choice(top[:3])
+            a_mask |= 1 << x
+            cn = cn & adj[x] & ~(1 << x)
+            best = max(best, min(a_mask.bit_count(), cn.bit_count()))
+    return best
+
+
+def edge_count_within_reference(g: Graph, vertices) -> int:
+    """Reference for ``bipart.graphs.edge_count_within``: pairs u < v of the set
+    that are edges.  Takes anything that iterates over vertex indices."""
+    members = sorted(set(vertices))
+    return sum(1 for u, v in combinations(members, 2) if (g.adj[u] >> v) & 1)
+
+
 def beta_brute(g: Graph) -> int:
     """Largest induced complete bipartite subgraph order, by subset scan."""
     best = 0

@@ -4,6 +4,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from bipart.graphs import (
     VertexSet,
     common_neighborhood,
     density_deviation,
+    edge_count_within,
     independence_number_exact,
     independent_set_greedy,
     independent_set_search,
@@ -29,6 +31,8 @@ from conftest import gnp_graphs
 from oracles import (
     alpha_brute,
     balanced_side_brute,
+    balanced_side_heuristic_reference,
+    edge_count_within_reference,
     gnp_rows_reference,
     graph_rows_reference,
     swap_polish_reference,
@@ -95,6 +99,26 @@ class TestGraphBasics:
     def test_constructor_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, (0b100, 0b000))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 150])
+    def test_constructor_matches_reference_across_blocks(self, n):
+        # The symmetry check works on 64-row blocks; mangled_rows stays inside one.
+        rng = random.Random(n)
+        rows = list(sample_gnp(GnpSpec(n, 0.5, n)).adj)
+        for _ in range(12):
+            v, u = rng.sample(range(n), 2)
+            flipped = tuple(row ^ (1 << u) if w == v else row for w, row in enumerate(rows))
+            assert _outcome(lambda: Graph(n, flipped).m) == _outcome(graph_rows_reference, n, flipped)
+
+    def test_packed_rows_are_read_only_and_outside_equality(self):
+        g, h = Graph.cycle(11), Graph.cycle(11)
+        assert np.array_equal(g.packed, _packed(g.adj, g.n)) and g.packed.shape == (11, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            g.packed[0, 0] = 1
+        assert g.packed is not h.packed
+        assert g == h and hash(g) == hash(h)  # an ndarray field would raise in both
+        assert "packed" not in repr(g)
+        assert Graph.empty(0).packed.shape == (0, 0)
 
     def test_edge_count(self):
         assert Graph.complete(5).m == 10
@@ -336,6 +360,50 @@ class TestDensityDeviation:
             density_deviation(Graph.empty(1), [0], p=0.5)
 
 
+@st.composite
+def vertex_collections(draw):
+    """A graph and a vertex collection of it: a list (repeats allowed), a
+    VertexSet, the empty list or every vertex."""
+    g = draw(gnp_graphs(min_n=0, max_n=20))
+    kind = draw(st.sampled_from(["list", "vertex-set", "empty", "full"]))
+    if kind == "empty" or g.n == 0:
+        return g, []
+    if kind == "full":
+        return g, range(g.n)
+    members = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    return g, VertexSet.of(members, g.n) if kind == "vertex-set" else members
+
+
+class TestEdgeCountWithin:
+    @given(vertex_collections())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_count(self, case):
+        g, vertices = case
+        assert edge_count_within(g, vertices) == edge_count_within_reference(g, vertices)
+
+    def test_full_set_of_large_graph(self):
+        g = sample_gnp(GnpSpec(300, 0.5, 3))
+        assert edge_count_within(g, range(300)) == g.m
+
+    def test_bad_vertices_rejected(self):
+        g = Graph.complete(4)
+        with pytest.raises(ValueError) as neg:
+            edge_count_within(g, [0, -1])
+        assert str(neg.value) == "vertex indices must be nonnegative"
+        with pytest.raises(ValueError) as big:
+            edge_count_within(g, [1, 4])
+        assert str(big.value) == "vertex outside range 0..3"
+
+
+# Graphs where every restart meets many equal scores, so the tie draws decide k.
+TIE_HEAVY = {
+    **{f"K{k},{k}": Graph.complete_bipartite(k, k) for k in (1, 2, 5, 9)},
+    **{f"K{n}": Graph.complete(n) for n in (2, 3, 8, 17)},
+    **{f"C{n}": Graph.cycle(n) for n in (3, 4, 9, 30)},
+    **{f"empty{n}": Graph.empty(n) for n in (0, 1, 7)},
+}
+
+
 class TestBalancedBiclique:
     def test_k33(self):
         assert max_balanced_biclique_side(Graph.complete_bipartite(3, 3)) == 3
@@ -358,6 +426,37 @@ class TestBalancedBiclique:
     def test_heuristic_finds_planted_k55(self):
         g = Graph.complete_bipartite(5, 5)
         assert max_balanced_biclique_side(g, "heuristic", budget=200, seed=1) == 5
+
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([0.2, 0.5, 0.9]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_heuristic_matches_loop_reference(self, n, p, graph_seed, budget, seed):
+        g = sample_gnp(GnpSpec(n, p, graph_seed))
+        got = max_balanced_biclique_side(g, "heuristic", budget, seed)
+        assert got == balanced_side_heuristic_reference(g, budget, seed)
+
+    @pytest.mark.parametrize("n", [80, 150])
+    def test_heuristic_matches_reference_at_larger_n(self, n):
+        # A scoring slip shows in k more often once restarts run longer than at n <= 40.
+        for p in (0.2, 0.5):
+            for seed in range(10):
+                g = sample_gnp(GnpSpec(n, p, seed))
+                for budget in (50, 300):
+                    got = max_balanced_biclique_side(g, "heuristic", budget, seed)
+                    assert got == balanced_side_heuristic_reference(g, budget, seed), (p, seed, budget)
+
+    @pytest.mark.parametrize("name", list(TIE_HEAVY))
+    def test_heuristic_matches_reference_on_tie_heavy_graphs(self, name):
+        g = TIE_HEAVY[name]
+        for budget in (1, 7, 60, 300):
+            for seed in (0, 1, 2):
+                got = max_balanced_biclique_side(g, "heuristic", budget, seed)
+                assert got == balanced_side_heuristic_reference(g, budget, seed), (budget, seed)
 
     def test_heuristic_never_exceeds_exact(self):
         for s in range(20):

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from bipart import harness, spectral
-from bipart.graphs import Graph, sample_gnp
+from bipart import harness, partition, spectral
+from bipart.graphs import GnpSpec, Graph, independent_set_greedy, sample_gnp
 from bipart.harness import (
     ExperimentConfig,
     derive_seed,
@@ -162,6 +162,39 @@ class TestBicliqueSideCheck:
         report = run_biclique_side_check(cfg)
         assert report.violations == 0
         assert report.aggregates["max_side"] >= 1
+
+
+class TestTracedCallSites:
+    """The traced benchmark wraps these calls by module attribute, so each
+    caller must look the name up on its module at call time."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name: str) -> list:
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_normalize_validates_once(self, monkeypatch):
+        calls = self._count(monkeypatch, partition, "validate_partition")
+        g = sample_gnp(GnpSpec(30, 0.5, 4))
+        partition.normalize_stars_first(g, partition.star_decomposition(g, independent_set_greedy(g, 4)))
+        assert len(calls) == 1
+
+    def test_density_check_calls_deviation_per_subset(self, monkeypatch):
+        calls = self._count(monkeypatch, harness, "density_deviation")
+        run_density_check(ExperimentConfig(kind="density", n=20, p=0.5, trials=3, seed=2, density_subsets=4))
+        assert len(calls) == 3 * 4
+
+    def test_side_check_calls_side_search_per_trial(self, monkeypatch):
+        calls = self._count(monkeypatch, harness, "max_balanced_biclique_side")
+        run_biclique_side_check(ExperimentConfig(kind="biclique_side", n=20, p=0.5, trials=3, seed=2))
+        assert len(calls) == 3
 
 
 class TestCoverageSoundness:

@@ -140,12 +140,66 @@ def random_partitions(draw):
     return g, BicliquePartition(g, tuple(draw(st.permutations(out))))
 
 
+@st.composite
+def valid_partitions(draw):
+    """Valid partitions from every constructor in the package: stars over a
+    greedy independent set, their stars-first normal form, stars plus an
+    induced biclique, exact witnesses (plain and star-free) and peeled
+    partitions.  Each part may have its sides swapped, so the larger side is
+    sometimes stored as ``a``."""
+    kind = draw(st.sampled_from(["stars", "normalized", "induced", "exact", "strong", "peeled"]))
+    if kind == "peeled":
+        g, p = draw(random_partitions())
+    else:
+        g = draw(gnp_graphs(min_n=0, max_n=7 if kind in ("exact", "strong") else 12))
+        p = star_decomposition(g, independent_set_greedy(g, draw(st.integers(0, 99))))
+        if kind == "normalized":
+            p = normalize_stars_first(g, p)
+        elif kind == "induced" and g.m:
+            p = star_plus_biclique_decomposition(g, largest_induced_biclique(g))
+        elif kind == "exact":
+            p = partition_number_exact(g).witness
+        elif kind == "strong":
+            p = strong_partition_number_exact(g).witness or p
+    swap = draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p)))
+    return g, BicliquePartition(g, tuple(
+        Biclique(part.b, part.a) if flip else part for part, flip in zip(p.parts, swap)
+    ))
+
+
 class TestValidateAgainstReference:
     @given(mangled_partitions())
     @settings(max_examples=300, deadline=None)
     def test_identical_diagnostics(self, case):
         g, p = case
         assert validate_partition(g, p) == validate_partition_reference(g, p)
+
+    @given(valid_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_partitions_pass(self, case):
+        g, p = case
+        assert validate_partition(g, p) == [] == validate_partition_reference(g, p)
+
+    def test_count_balanced_invalid_partition(self):
+        # Sigma |a||b| equals m on the path 0-1-2, but (0, 1) is held twice and (1, 2) never.
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        p = BicliquePartition(g, parts(({0}, {1}), ({0}, {1})))
+        assert validate_partition(g, p) == validate_partition_reference(g, p) == [
+            "duplicate-edge: (0, 1) in parts 0 and 1",
+            "uncovered-edge: (1, 2)",
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless_graph_with_empty_partition(self, n):
+        g = Graph.empty(n)
+        assert validate_partition(g, BicliquePartition(g, ())) == []
+        stray = BicliquePartition(g, parts(({n}, {n + 1})))
+        assert validate_partition(g, stray) == validate_partition_reference(g, stray)
+
+    def test_valid_star_partition_n1000(self):
+        g = sample_gnp(GnpSpec(1000, 0.5, 8))
+        p = star_decomposition(g, independent_set_greedy(g, 8))
+        assert validate_partition(g, p) == [] == validate_partition_reference(g, p)
 
     def test_large_star_partition(self):
         g = sample_gnp(GnpSpec(300, 0.5, 8))
