@@ -124,7 +124,7 @@ def exact(graph_path: str, mode: str, budget: int) -> None:
               help="Coverage maximization mode (op f).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--base", type=float, default=2.0, show_default=True,
-              help="Logarithm base 1/p (ops h and witness).")
+              help="Logarithm base 1/p (op witness).")
 @click.option("--w", "w_csv", type=str, default=None,
               help="Comma-separated witness pool (op witness); defaults to the universe.")
 @click.option("--witness-file", type=click.Path(exists=True, dir_okay=False), default=None,

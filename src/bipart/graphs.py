@@ -8,12 +8,12 @@ also holds the private mask helpers that the other modules share: submasks,
 common neighborhoods, greedy independent passes, ``_independent`` (the one
 independence check), ``_alpha_branch_and_bound`` (the one exact
 independent-set search), ``_strip`` (removes a biclique's cross edges, for
-the coverage game and the exact partition search) and ``_packed`` (the one
-bridge from bitmask rows to packed numpy bits).  ``Graph`` keeps its rows
-packed as ``Graph.packed``, built once for its symmetry check and read by
-``independent_set_search`` (through ``_swap_polish``), ``edge_count_within``
-and the balanced-side heuristic here and by ``validate_partition`` in
-``partition``; ``spectral`` packs the rows it is given for the inertia.
+the coverage game and the exact partition search), and ``_packed``,
+``_unpacked`` and ``_transposed``, the only code that knows the packed bit
+format (the sampler, the symmetry check and partition validation share
+``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
+``independent_set_search``, ``edge_count_within``, the balanced-side heuristic
+and ``validate_partition``; ``spectral`` unpacks the rows it is given.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from the Mersenne Twister stream of
@@ -142,9 +142,14 @@ def _packed(rows: Sequence[int], n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
+def _unpacked(packed: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of each packed row (the last axis) as 0/1 uint8."""
+    return np.unpackbits(packed, axis=-1, count=count, bitorder="little")
+
+
 def _selector(mask: int, n: int) -> np.ndarray:
     """The members of ``mask`` as a length-n bool array, to pick rows of a packed matrix."""
-    return np.unpackbits(_packed((mask,), n)[0], count=n, bitorder="little").view(bool)
+    return _unpacked(_packed((mask,), n)[0], n).view(bool)
 
 
 def _column_sums(packed: np.ndarray, selected: np.ndarray) -> np.ndarray:
@@ -153,40 +158,33 @@ def _column_sums(packed: np.ndarray, selected: np.ndarray) -> np.ndarray:
     For adjacency rows, entry y is the number of selected neighbors of y.
     Only the selected rows are unpacked.
     """
-    rows = np.unpackbits(packed[selected], axis=1, count=packed.shape[0], bitorder="little")
-    return rows.sum(axis=0, dtype=np.int32)
+    return _unpacked(packed[selected], packed.shape[0]).sum(axis=0, dtype=np.int32)
 
 
-# Rows handled at a time by sample_gnp and the block checks; a multiple of 8,
-# so blocks start on a byte.
+# Rows drawn at a time by sample_gnp and columns handled at a time by
+# _transposed; a multiple of 8, so blocks start on a byte.
 _ROW_BLOCK = 64
 
 
-def _row_col_blocks(packed: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Per block of ``_ROW_BLOCK`` rows from ``lo`` of a packed (n, ceil(n/8)) matrix:
-    (lo, those rows, the same columns transposed), both unpacked to 0/1 bytes.
+def _transposed(packed: np.ndarray) -> np.ndarray:
+    """The packed transpose of a packed (n, ceil(n/8)) matrix.
 
-    The matrix is symmetric iff the two agree on every block, and no n x n
-    array is built.
+    Works ``_ROW_BLOCK`` columns at a time, so no n x n array is built, and
+    packs a copy of each transposed block: packbits runs about 4x slower on
+    the transposed view.
     """
     n = packed.shape[0]
+    out = np.empty_like(packed)
     for lo in range(0, n, _ROW_BLOCK):
-        rows = np.unpackbits(packed[lo:lo + _ROW_BLOCK], axis=1, count=n, bitorder="little")
-        cols = np.unpackbits(packed[:, lo // 8:(lo + _ROW_BLOCK) // 8], axis=1, bitorder="little")
-        yield lo, rows, cols[:, :len(rows)].T
+        cols = _unpacked(packed[:, lo // 8:(lo + _ROW_BLOCK) // 8], min(_ROW_BLOCK, n - lo))
+        out[lo:lo + _ROW_BLOCK] = np.packbits(cols.T.copy(), axis=1, bitorder="little")
+    return out
 
 
 def _pairs_are_edges(g: Graph, rows: Sequence[int]) -> bool:
-    """True iff the pairs {x, y} with y in ``rows[x]`` are exactly the edges of g.
-
-    Compares ``rows`` together with their transpose against ``g.packed``, block
-    by block, so no n x n array is built.
-    """
-    return all(
-        np.array_equal(np.packbits(block | cols, axis=1, bitorder="little"),
-                       g.packed[lo:lo + len(block)])
-        for lo, block, cols in _row_col_blocks(_packed(rows, g.n))
-    )
+    """True iff the pairs {x, y} with y in ``rows[x]`` are exactly the edges of g."""
+    recorded = _packed(rows, g.n)
+    return np.array_equal(recorded | _transposed(recorded), g.packed)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -255,11 +253,10 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has out-of-range neighbors")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry, block by block.  A failing graph is scanned for the pair to
-        # report: the first listed only by its smaller endpoint, else only by its
-        # larger one.
+        # Symmetry.  A failing graph is scanned for the pair to report: the first
+        # listed only by its smaller endpoint, else only by its larger one.
         packed = _packed(self.adj, self.n)
-        if not all(np.array_equal(rows, cols) for _, rows, cols in _row_col_blocks(packed)):
+        if not np.array_equal(packed, _transposed(packed)):
             one_way = [(v, u) for v, row in enumerate(self.adj) for u in iter_bits(row)
                        if not (self.adj[u] >> v) & 1]
             v, u = sorted(min(one_way, key=lambda vu: vu[0] > vu[1]))
@@ -345,8 +342,8 @@ def sample_gnp(spec: GnpSpec) -> Graph:
     and consume exactly one deviate each of the ``random.Random(seed)``
     stream (read through numpy, as the module docstring says), so the edge
     set is a pure function of the GnpSpec fields.  Deviates are drawn 64 rows
-    at a time and packed into rows and columns at once, so no n x n matrix
-    is built.
+    at a time into the upper triangle, whose transpose is then ORed in, so no
+    n x n matrix is built.
     """
     n, p, seed = spec.n, spec.p, spec.seed
     rs = getattr(_generators, "rs", None)
@@ -355,17 +352,15 @@ def sample_gnp(spec: GnpSpec) -> Graph:
     # A list even for one word: a scalar or a one-element array gets init_genrand instead.
     rs.seed([(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)])
     nbytes = (n + 7) // 8
-    packed = np.zeros((n, nbytes), dtype=np.uint8)
+    packed = np.empty((n, nbytes), dtype=np.uint8)
     # Block row i holds the pairs (lo + i, v) with v > lo + i: a window of tri.
     tri = np.arange(-n, n) > np.arange(_ROW_BLOCK)[:, None]
     for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        upper = tri[:hi - lo, n - lo:2 * n - lo]
+        upper = tri[:min(_ROW_BLOCK, n - lo), n - lo:2 * n - lo]
         block = np.zeros(upper.shape, dtype=bool)
         block[upper] = rs.random_sample(np.count_nonzero(upper)) < p
-        packed[lo:hi] |= np.packbits(block, axis=1, bitorder="little")
-        # Columns; packbits runs about 4x faster on a copy than on the transposed view.
-        packed[:, lo // 8:(hi + 7) // 8] |= np.packbits(block.T.copy(), axis=1, bitorder="little")
+        packed[lo:lo + _ROW_BLOCK] = np.packbits(block, axis=1, bitorder="little")
+    packed |= _transposed(packed)
     buf = packed.tobytes()
     return Graph(n, tuple(int.from_bytes(buf[v * nbytes:(v + 1) * nbytes], "little") for v in range(n)))
 
@@ -563,13 +558,13 @@ def _swap_polish(
         nonlocal s, cnt
         s |= 1 << v
         inside[v] = True
-        cnt += np.unpackbits(packed[v], count=n, bitorder="little")
+        cnt += _unpacked(packed[v], n)
 
     def remove(v: int) -> None:
         nonlocal s, cnt
         s &= ~(1 << v)
         inside[v] = False
-        cnt -= np.unpackbits(packed[v], count=n, bitorder="little")
+        cnt -= _unpacked(packed[v], n)
 
     best_mask, best_size = s, s.bit_count()
     stale = 0

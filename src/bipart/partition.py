@@ -239,15 +239,15 @@ def largest_induced_biclique(
     alternating growth and returns the best found.  Returns None on
     edgeless graphs, where no biclique exists at all.
     """
+    if effort not in ("exact", "heuristic"):
+        raise ValueError(f"unknown effort {effort!r}")
     if effort == "exact" and g.n > _EXACT_BETA_LIMIT:
         raise ValueError(f"exact induced-biclique search refused for n > {_EXACT_BETA_LIMIT}")
     if g.m == 0:
         return None
     if effort == "exact":
         return _largest_induced_exact(g)
-    if effort == "heuristic":
-        return _largest_induced_heuristic(g, budget, seed)
-    raise ValueError(f"unknown effort {effort!r}")
+    return _largest_induced_heuristic(g, budget, seed)
 
 
 def _largest_induced_exact(g: Graph) -> Biclique:
@@ -298,28 +298,27 @@ def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
 def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePartition:
     """Stars-first normal form: no non-star part touches any star center.
 
-    Repeatedly strips star-center vertices out of non-star parts, merging the
-    split-off rows into the existing star with that center.  The output is a
-    valid partition with at most as many parts, at least as many stars, all
-    stars leading, and every non-star part disjoint from the star centers.
+    Strips star-center vertices out of non-star parts, merging the split-off
+    rows into the existing star with that center.  The output is a valid
+    partition with at most as many parts, at least as many stars, all stars
+    leading, and every non-star part disjoint from the star centers.
     """
     issues = validate_partition(g, partition)
     if issues:
         raise ValueError(f"input partition invalid: {issues[0]}")
 
+    # A part is a star on its smaller side (a on a tie) when that side is one vertex.
     stars: list[tuple[int, int]] = []  # (center, leaves mask)
     nonstars: list[tuple[int, int]] = []  # (a mask, b mask)
+    star_index: dict[int, int] = {}  # center -> index of its first star
     for part in partition.parts:
-        if part.a.bit_count() == 1:
-            stars.append((part.a.bit_length() - 1, part.b))
-        elif part.b.bit_count() == 1:
-            stars.append((part.b.bit_length() - 1, part.a))
+        small = min(part.a, part.b, key=int.bit_count)
+        if small.bit_count() == 1:
+            star_index.setdefault(small.bit_length() - 1, len(stars))
+            stars.append((small.bit_length() - 1, (part.a | part.b) & ~small))
         else:
             nonstars.append((part.a, part.b))
-
-    star_index: dict[int, int] = {}
-    for i, (c, _) in enumerate(stars):
-        star_index.setdefault(c, i)
+    centers = mask_of(star_index)  # kept up to date as stars are added
 
     def merge_into_star(center: int, extra: int) -> None:
         i = star_index[center]
@@ -328,36 +327,28 @@ def normalize_stars_first(g: Graph, partition: BicliquePartition) -> BicliquePar
             raise AssertionError("merged star leaves overlap existing leaves")
         stars[i] = (c, leaves | extra)
 
-    changed = True
-    while changed:
-        changed = False
-        centers = 0
-        for c, _ in stars:
-            centers |= 1 << c
-        for idx, (amask, bmask) in enumerate(nonstars):
-            if not (amask | bmask) & centers:
-                continue
-            changed = True
-            del nonstars[idx]
-            for v in iter_bits(amask & centers):
-                merge_into_star(v, bmask)
-            a_rest = amask & ~centers
-            for v in iter_bits(bmask & centers):
-                if a_rest:
-                    merge_into_star(v, a_rest)
-            b_rest = bmask & ~centers
-            if a_rest and b_rest:
-                if a_rest.bit_count() == 1:
-                    c = (a_rest & -a_rest).bit_length() - 1
-                    stars.append((c, b_rest))
-                    star_index.setdefault(c, len(stars) - 1)
-                elif b_rest.bit_count() == 1:
-                    c = (b_rest & -b_rest).bit_length() - 1
-                    stars.append((c, a_rest))
-                    star_index.setdefault(c, len(stars) - 1)
-                else:
-                    nonstars.insert(idx, (a_rest, b_rest))
+    # Split the first non-star that touches a center.  A new star can make an
+    # earlier non-star touch one, so every search starts from the front.
+    while True:
+        idx = next((i for i, (a, b) in enumerate(nonstars) if (a | b) & centers), None)
+        if idx is None:
             break
+        amask, bmask = nonstars.pop(idx)
+        for v in iter_bits(amask & centers):
+            merge_into_star(v, bmask)
+        a_rest, b_rest = amask & ~centers, bmask & ~centers
+        for v in iter_bits(bmask & centers):
+            merge_into_star(v, a_rest)  # a no-op when a_rest is empty
+        # What is left is a star, a smaller non-star in the same place, or
+        # nothing when a rest is empty.
+        small = min(a_rest, b_rest, key=int.bit_count)
+        if small.bit_count() > 1:
+            nonstars.insert(idx, (a_rest, b_rest))
+        elif small:
+            c = small.bit_length() - 1
+            star_index[c] = len(stars)
+            stars.append((c, (a_rest | b_rest) & ~small))
+            centers |= small
 
     parts = [Biclique(1 << c, leaves) for c, leaves in stars]
     parts.extend(Biclique(a, b) for a, b in nonstars)

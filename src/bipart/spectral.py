@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _packed
+from .graphs import Graph, _packed, _unpacked
 
 __all__ = [
     "InertiaSignature",
@@ -54,9 +54,8 @@ def default_tolerance(n: int) -> float:
 
 def _eigenvalues(rows: Sequence[int], n: int) -> np.ndarray:
     """Ascending adjacency eigenvalues of the graph given by bitmask rows."""
-    matrix = np.unpackbits(_packed(rows, n), axis=1, count=n, bitorder="little")
     try:
-        return np.linalg.eigvalsh(matrix.astype(np.float64))
+        return np.linalg.eigvalsh(_unpacked(_packed(rows, n), n).astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigenvalue computation failed to converge: {exc}") from exc
 

@@ -345,6 +345,67 @@ def validate_partition_reference(g: Graph, partition) -> list[str]:
     return issues
 
 
+def normalize_stars_first_reference(g: Graph, partition) -> list[tuple[int, int]]:
+    """Reference for ``bipart.partition.normalize_stars_first`` on a valid
+    partition: the restart loop that rebuilds the center mask on every pass.
+
+    Returns the output parts as (a mask, b mask), stars first, in order.
+    """
+    stars: list[tuple[int, int]] = []  # (center, leaves mask)
+    nonstars: list[tuple[int, int]] = []  # (a mask, b mask)
+    for part in partition.parts:
+        if part.a.bit_count() == 1:
+            stars.append((part.a.bit_length() - 1, part.b))
+        elif part.b.bit_count() == 1:
+            stars.append((part.b.bit_length() - 1, part.a))
+        else:
+            nonstars.append((part.a, part.b))
+
+    star_index: dict[int, int] = {}
+    for i, (c, _) in enumerate(stars):
+        star_index.setdefault(c, i)
+
+    def merge_into_star(center: int, extra: int) -> None:
+        i = star_index[center]
+        c, leaves = stars[i]
+        if leaves & extra:
+            raise AssertionError("merged star leaves overlap existing leaves")
+        stars[i] = (c, leaves | extra)
+
+    changed = True
+    while changed:
+        changed = False
+        centers = 0
+        for c, _ in stars:
+            centers |= 1 << c
+        for idx, (amask, bmask) in enumerate(nonstars):
+            if not (amask | bmask) & centers:
+                continue
+            changed = True
+            del nonstars[idx]
+            for v in iter_bits(amask & centers):
+                merge_into_star(v, bmask)
+            a_rest = amask & ~centers
+            for v in iter_bits(bmask & centers):
+                if a_rest:
+                    merge_into_star(v, a_rest)
+            b_rest = bmask & ~centers
+            if a_rest and b_rest:
+                if a_rest.bit_count() == 1:
+                    c = (a_rest & -a_rest).bit_length() - 1
+                    stars.append((c, b_rest))
+                    star_index.setdefault(c, len(stars) - 1)
+                elif b_rest.bit_count() == 1:
+                    c = (b_rest & -b_rest).bit_length() - 1
+                    stars.append((c, a_rest))
+                    star_index.setdefault(c, len(stars) - 1)
+                else:
+                    nonstars.insert(idx, (a_rest, b_rest))
+            break
+
+    return [(1 << c, leaves) for c, leaves in stars] + nonstars
+
+
 def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counter | None = None):
     """Reference for ``bipart.graphs._swap_polish``: the list-based plateau walk.
 

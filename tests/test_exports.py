@@ -84,3 +84,23 @@ def _self_calls(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_module_has_no_recursion(path):
     assert _self_calls(path) == []
+
+
+def _packed_format_calls(path: Path) -> list[str]:
+    """Calls that know the packed bit format: ``packbits``, ``unpackbits``, or
+    any call passing ``bitorder``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name in ("packbits", "unpackbits") or any(k.arg == "bitorder" for k in node.keywords):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+# graphs.py fixes the bit order of Graph.packed; every other module goes through its helpers.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_packed_format_lives_in_graphs(path):
+    calls = _packed_format_calls(path)
+    assert bool(calls) if path.name == "graphs.py" else calls == []

@@ -25,7 +25,7 @@ from bipart.graphs import (
     format_edge_list,
     sample_gnp,
 )
-from bipart.graphs import _beam_with_exact_finish, _packed, _swap_polish
+from bipart.graphs import _beam_with_exact_finish, _packed, _swap_polish, _transposed
 
 from conftest import gnp_graphs
 from oracles import (
@@ -102,7 +102,7 @@ class TestGraphBasics:
 
     @pytest.mark.parametrize("n", [63, 64, 65, 150])
     def test_constructor_matches_reference_across_blocks(self, n):
-        # The symmetry check works on 64-row blocks; mangled_rows stays inside one.
+        # The symmetry check transposes 64 columns at a time; mangled_rows stays inside one block.
         rng = random.Random(n)
         rows = list(sample_gnp(GnpSpec(n, 0.5, n)).adj)
         for _ in range(12):
@@ -119,6 +119,14 @@ class TestGraphBasics:
         assert g == h and hash(g) == hash(h)  # an ndarray field would raise in both
         assert "packed" not in repr(g)
         assert Graph.empty(0).packed.shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    def test_transposed_matches_dense_transpose(self, n):
+        rng = random.Random(n)
+        rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]  # not symmetric
+        cols = [sum(((row >> y) & 1) << x for x, row in enumerate(rows)) for y in range(n)]
+        got = _transposed(_packed(rows, n))
+        assert got.shape == (n, (n + 7) // 8) and np.array_equal(got, _packed(cols, n))
 
     def test_edge_count(self):
         assert Graph.complete(5).m == 10
@@ -417,6 +425,11 @@ class TestBalancedBiclique:
     def test_exact_refused_when_large(self):
         with pytest.raises(ValueError, match="refused"):
             max_balanced_biclique_side(Graph.empty(21), "exact")
+
+    @pytest.mark.parametrize("g", [Graph.empty(3), Graph.complete(3)], ids=["edgeless", "k3"])
+    def test_unknown_effort_rejected(self, g):
+        with pytest.raises(ValueError, match="unknown effort 'bogus'"):
+            max_balanced_biclique_side(g, effort="bogus")
 
     def test_exact_matches_brute(self):
         for s in range(30):

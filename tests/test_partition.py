@@ -36,7 +36,12 @@ from bipart.partition import (
 from bipart.spectral import graham_pollak_lower_bound
 
 from conftest import gnp_graphs
-from oracles import beta_brute, tau_brute, validate_partition_reference
+from oracles import (
+    beta_brute,
+    normalize_stars_first_reference,
+    tau_brute,
+    validate_partition_reference,
+)
 
 
 def parts(*pairs):
@@ -201,6 +206,20 @@ class TestValidateAgainstReference:
         p = star_decomposition(g, independent_set_greedy(g, 8))
         assert validate_partition(g, p) == [] == validate_partition_reference(g, p)
 
+    def test_rejected_only_in_last_partial_block(self):
+        # Single-edge parts of G(130, .5), with the part of (128, 129) swapped for
+        # a second copy of another edge at 129: every cross pair is an edge and
+        # Σ|a||b| = m, and only rows 128 and 129 of the recorded pairs and their
+        # transpose differ from E, inside the last, partial 64-column block.
+        g = sample_gnp(GnpSpec(130, 0.5, 2))
+        assert g.has_edge(128, 129)
+        u = next(iter_bits(g.adj[129]))
+        edges = [e if e != (128, 129) else (u, 129) for e in g.edges()]
+        p = BicliquePartition(g, tuple(Biclique(1 << x, 1 << y) for x, y in edges))
+        assert sum(part.edge_count() for part in p.parts) == g.m
+        issues = validate_partition(g, p)
+        assert issues and issues == validate_partition_reference(g, p)
+
     def test_large_star_partition(self):
         g = sample_gnp(GnpSpec(300, 0.5, 8))
         stars = star_decomposition(g, independent_set_greedy(g, 8)).parts
@@ -280,6 +299,12 @@ class TestLargestInducedBiclique:
     def test_exact_refused_when_large(self):
         with pytest.raises(ValueError, match="refused"):
             largest_induced_biclique(Graph.empty(19) , "exact")
+
+    @pytest.mark.parametrize("g", [Graph.empty(3), Graph.complete(3), Graph.empty(19)],
+                             ids=["edgeless", "k3", "edgeless-n19"])
+    def test_unknown_effort_rejected(self, g):
+        with pytest.raises(ValueError, match="unknown effort 'bogus'"):
+            largest_induced_biclique(g, effort="bogus")
 
     def test_matches_brute(self):
         for n in range(2, 11):
@@ -414,6 +439,13 @@ class TestNormalizeStarsFirst:
     def test_postconditions_on_random_partitions(self, case):
         g, p = case
         self.assert_postconditions(g, p, normalize_stars_first(g, p))
+
+    @given(random_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_restart_loop_reference(self, case):
+        g, p = case
+        got = [(pt.a, pt.b) for pt in normalize_stars_first(g, p).parts]
+        assert got == normalize_stars_first_reference(g, p)
 
 
 class TestPartitionNumber:
