@@ -380,6 +380,52 @@ class SolveResult:
     nodes: int
 
 
+def _least_degree_sum(rows: tuple[int, ...]) -> tuple[int, int]:
+    """The edge (u, v), u < v, of ``rows`` with the least deg(u) + deg(v); ties
+    go to the lexicographically first."""
+    degree = [row.bit_count() for row in rows]
+    best_key, best = INFINITY, (0, 0)
+    for u, row in enumerate(rows):
+        upper = row >> (u + 1) << (u + 1)
+        if upper:
+            v = min(iter_bits(upper), key=degree.__getitem__)  # the first of equal degree
+            if degree[u] + degree[v] < best_key:
+                best_key, best = degree[u] + degree[v], (u, v)
+    return best
+
+
+def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """The edge (u, v), u < v, of ``rows`` on the fewest 4-cycles u-v-x-y-u; ties
+    go to the lexicographically first.  None when some edge lies on no 4-cycle.
+
+    Edge uv lies on |N(x) & N(u) - {v}| such cycles for each x in N(v) - {u},
+    so the one edge of a vertex of degree 1 lies on none.  The bit loops are
+    ``iter_bits`` written out, as this scan runs at every node of the
+    star-free search.
+    """
+    if 1 in map(int.bit_count, rows):
+        return None
+    best_count, best = INFINITY, None
+    for u, row in enumerate(rows):
+        upper = row >> (u + 1) << (u + 1)
+        while upper:
+            low = upper & -upper
+            upper ^= low
+            v = low.bit_length() - 1
+            fourth = row ^ low
+            xs = rows[v] & ~(1 << u)
+            count = 0
+            while xs:
+                bit = xs & -xs
+                xs ^= bit
+                count += (rows[bit.bit_length() - 1] & fourth).bit_count()
+            if not count:
+                return None
+            if count < best_count:
+                best_count, best = count, (u, v)
+    return best
+
+
 def _solve_partition_number(
     g: Graph,
     min_side: int,
@@ -388,27 +434,40 @@ def _solve_partition_number(
 ) -> SolveResult:
     """Shared branch-and-bound engine for the plain and star-free variants.
 
-    Branches on the lexicographically smallest uncovered edge ab, enumerating
-    every biclique of the remaining graph that contains it (anchored so each
-    unordered part appears once), largest parts first.  Nodes are pruned when
-    parts so far plus the inertia bound of the remaining graph cannot beat
-    the incumbent.
+    Each node branches on one uncovered edge ab, with a < b, enumerating
+    every biclique of the remaining graph that contains it, largest parts
+    first.  Branching on any uncovered edge is complete: every partition
+    covers ab with exactly one part, and that part, with a put on its side
+    A, is listed exactly once (A is a plus a subset of N(b), B is b plus a
+    subset of the common neighbourhood of A).  The edge is picked fail-first,
+    as the one whose children are likely fewest (Haralick and Elliott, 1980);
+    ties go to the lexicographically first (a, b):
 
-    The prune is sound by Graham and Pollak (1971): a part with sides A and
-    B adds x_A x_B = ((x_A + x_B)^2 - (x_A - x_B)^2) / 4 to x^T A x / 2,
-    where x_A sums x over A, so k parts write that form with k positive and
-    k negative squares, and Sylvester's law of inertia gives n+ <= k and
+    - plain (``min_side`` 1): the least residual degree sum deg(a) + deg(b),
+      which bounds the candidates by 2^(deg a + deg b - 2).  It is picked
+      only at nodes that pass both prunes below, so the nodes the
+      eigen-solve kills pay nothing for it;
+    - star-free (``min_side`` 2): the fewest 4-cycles a-b-x-y-a, the sum
+      over x in N(b) - {a} of |N(x) & N(a) - {b}|.
+
+    Nodes are pruned when parts so far plus the inertia bound of the
+    remaining graph cannot beat the incumbent.  The prune is sound by
+    Graham and Pollak (1971): a part with sides A and B adds
+    x_A x_B = ((x_A + x_B)^2 - (x_A - x_B)^2) / 4 to x^T A x / 2, where x_A
+    sums x over A, so k parts write that form with k positive and k
+    negative squares, and Sylvester's law of inertia gives n+ <= k and
     n- <= k.  Counting an eigenvalue within the tolerance as zero only
     lowers n+ or n-, so rounding can weaken the bound but never cut off a
     better partition.  The root's bound is computed once; it is also the
     ``lower_bound`` of a budget-out.
 
-    With ``min_side`` 2, a node whose edge ab lies on no 4-cycle a-b-x-y-a
-    has no child, since every star-free biclique through ab holds such an x
-    and y.  The search leaves that node before its eigen-solve.  The node is
-    already counted, and having no child and an uncovered edge it can neither
-    improve the incumbent nor change what is visited after it, so node
-    counts and results are those of a search that computed its bound.
+    With ``min_side`` 2 the 4-cycle scan runs before the eigen-solve and
+    doubles as a dead test over every uncovered edge, not just the one
+    branched on: every star-free biclique through an edge uv holds a
+    4-cycle u-v-x-y-u, so a node with an edge on no 4-cycle cannot be
+    completed and is left without its eigen-solve.  The node is already
+    counted, and the edge it would branch on is then one with no child, so
+    node counts and results are those of a search that computed its bound.
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
@@ -435,24 +494,21 @@ def _solve_partition_number(
         if nodes > budget:
             return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)
         depth = len(parts)
-        for a in range(n):
-            if rows[a]:
-                break
-        else:  # every edge is covered
+        if not any(rows):  # every edge is covered
             if depth < best_value:
                 best_value = depth
                 witness = BicliquePartition(g, tuple(Biclique(x, y) for x, y in parts))
             continue
         if depth + 1 >= best_value:
             continue  # at least one more part is needed
-        b = (rows[a] & -rows[a]).bit_length() - 1
-        pool_a = rows[b] & ~(1 << a)
         if min_side > 1:
-            fourth = rows[a] & ~(1 << b)
-            if not any(rows[x] & fourth for x in iter_bits(pool_a)):
-                continue  # ab lies on no 4-cycle: no child
+            edge = _fewest_four_cycles(rows)
+            if edge is None:
+                continue  # an edge lies on no 4-cycle: no partition completes
         if depth + (_gp_bound(rows, n) if parts else root_bound) >= best_value:
             continue
+        a, b = edge if min_side > 1 else _least_degree_sum(rows)
+        pool_a = rows[b] & ~(1 << a)
         candidates = []
         for sub_a in _submasks(pool_a):
             a_mask = sub_a | (1 << a)

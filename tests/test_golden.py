@@ -118,15 +118,15 @@ WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (
 BUDGET_GRAPHS = [(n, p, seed) for n in range(11, 14) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 
 WITNESS_DIGESTS = {
-    "tau": "432acf44e2b13ff25514c7b1cff36aaf2cb15317e277a286624675e331911bc0",
-    "tau_strong": "c9732f2417ccd16974792ea9dfd93b8e791af22d37f2d94b506079f28fc847ee",
+    "tau": "e782db1525e4eb37107a563367d182254bbf81cfe4602e07077754a236005967",
+    "tau_strong": "e70db9eaa97b910b987767035c9b350a65268417febe9a2b6f0412fa60428453",
     "star_decomposition": "2a7b06126903393fcfe5e4b45b90f061af4420138c0eed36b52f70faf18398e1",
-    "normalize_stars_first": "13f9ee29e5d107ce9aa33d8d20fa26df918817432faa9d6581e7f1099fcf3c17",
+    "normalize_stars_first": "ad2b4214f3c4ad9e21e8d7d7d770c4b5eaeba16f32cfebc1623c9366b5860ce9",
     "biclique_exact": "31f2359fed10b27e244f3cacb1e269746218c7c98e6401e04eedda8772e756b4",
     "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
     "star_plus_exact": "a7fd453cfec28c7bdbd91650e8a3832cb55230bae5e2138e8c0e14916e069aac",
     "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
-    "budget_outs": "cf6f6c7eca8d7c5aaf87e340a292065be412e8268fa5400dabe8f54bb636452d",
+    "budget_outs": "0381c13a68a28ca9b5b7d50711f9c44638f1387ce4efd551520237925726c975",
 }
 
 

@@ -583,15 +583,14 @@ class TestStrongPartitionNumber:
                     assert res.value == (INFINITY if brute is None else brute), (n, p, s)
 
     def test_dead_end_costs_no_eigen_solve(self, monkeypatch):
-        # A 4-cycle and a triangle: the one child of the root leaves the
-        # triangle, whose edge lies on no 4-cycle, so only the root's bound
-        # is computed.
+        # A 4-cycle and a triangle: a triangle edge lies on no 4-cycle, so
+        # the root itself is dead and only the root's bound is computed.
         calls = []
         real = partition_module._gp_bound
         monkeypatch.setattr(partition_module, "_gp_bound", lambda rows, n: calls.append(n) or real(rows, n))
         g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
         res = strong_partition_number_exact(g)
-        assert (res.value, res.status, res.nodes) == (INFINITY, EXACT, 2)
+        assert (res.value, res.status, res.nodes) == (INFINITY, EXACT, 1)
         assert calls == [7]
 
     def test_at_least_plain_value_when_finite(self):
@@ -627,6 +626,21 @@ def test_search_depth_is_not_call_depth():
         sys.setrecursionlimit(old)
     assert (res.value, res.status, res.nodes) == (60, EXACT, 61)
     assert res.witness.is_valid()
+
+
+NODE_GRAPHS = [(n, p, seed) for n in (9, 10, 11) for p in (0.3, 0.5, 0.7) for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("solve, nodes, exact", [
+    (partition_number_exact, 2221, 36),
+    (strong_partition_number_exact, 15309, 35),
+])
+def test_search_node_totals(solve, nodes, exact):
+    # Node counts are deterministic, so they pin the search order and the
+    # prunes on any machine.
+    results = [solve(sample_gnp(GnpSpec(n, p, seed)), budget=5000) for n, p, seed in NODE_GRAPHS]
+    assert sum(r.nodes for r in results) == nodes
+    assert sum(r.status == EXACT for r in results) == exact
 
 
 class TestConstructionValidity:
