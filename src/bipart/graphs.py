@@ -12,8 +12,10 @@ the coverage game and the exact partition search), and ``_packed``,
 ``_unpacked`` and ``_transposed``, the only code that knows the packed bit
 format (the sampler, the symmetry check and partition validation share
 ``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
-``independent_set_search``, ``edge_count_within``, the balanced-side heuristic
-and ``validate_partition``; ``spectral`` unpacks the rows it is given.
+``independent_set_search`` (the beam's pool listing and ranking, the exact
+finisher's pool rows, relabelled to local bits by ``_pool_rows``, and the swap
+polish), ``edge_count_within``, the balanced-side heuristic and
+``validate_partition``; ``spectral`` unpacks the rows it is given.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from the Mersenne Twister stream of
@@ -498,14 +500,41 @@ _FINISH_AT = 44
 _POLISH_MOVES = 1600
 
 
+def _pool_rows(packed: np.ndarray, pool: int) -> tuple[np.ndarray, list[int]]:
+    """The members of ``pool`` (ascending, at most 64) and their rows relabelled
+    so that member i is bit i.
+
+    ``packed`` is ``Graph.packed``.  One gather takes the members' rows at the
+    pool's nonzero bytes, and the pool's own bits there pick the columns to
+    pack into the local rows.
+    """
+    n = packed.shape[0]
+    pool_bytes = _packed((pool,), n)[0]
+    members = np.flatnonzero(_unpacked(pool_bytes, n))
+    held = np.flatnonzero(pool_bytes)
+    columns = _unpacked(pool_bytes[held], 8 * held.size).view(bool)
+    bits = _unpacked(packed[np.ix_(members, held)], 8 * held.size)[:, columns]
+    words = np.zeros((members.size, 8), dtype=np.uint8)
+    words[:, :(members.size + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return members, words.view("<u8")[:, 0].tolist()
+
+
 def _beam_with_exact_finish(
-    adj: Sequence[int], n: int, rng: random.Random, incumbent: int
+    adj: Sequence[int], n: int, packed: np.ndarray, rng: random.Random, incumbent: int
 ) -> tuple[int, int]:
     """One beam descent; pools at or below ``_FINISH_AT`` vertices are solved exactly.
 
-    The exact finisher is seeded with the incumbent so dominated pools prune
-    immediately.  Returns (size, mask) of the best completed set, which is
-    (incumbent, 0) when nothing improved.
+    ``packed`` is ``Graph.packed``.  A deeper pool's members are listed from
+    its unpacked bytes in ascending order, and ``rng.sample`` draws positions
+    in ``range(count)``: it reads only the length and indexes, so it makes the
+    same draws and picks the same vertices as it would from a list of the
+    members.  Candidates rank by (pool degree, vertex), as a key sort of that
+    list would.  The exact finisher runs on the pool's rows relabelled by
+    ``_pool_rows``, which keeps the vertex order, so its branch vertices,
+    clique covers and node counts are those of the global rows.  It is seeded
+    with the incumbent so dominated pools prune immediately.  Returns (size,
+    mask) of the best completed set, which is (incumbent, 0) when nothing
+    improved.
     """
     full = (1 << n) - 1
     beam: list[tuple[int, int, int]] = [(full, 0, 0)]
@@ -514,19 +543,23 @@ def _beam_with_exact_finish(
         deeper = []
         for pool, smask, size in beam:
             if pool.bit_count() <= _FINISH_AT:
+                members, rows = _pool_rows(packed, pool)
                 got, gmask, _, _ = _alpha_branch_and_bound(
-                    adj, pool, 250_000, (best_size - size, 0)
+                    rows, (1 << members.size) - 1, 250_000, (best_size - size, 0)
                 )
                 if size + got > best_size:
-                    best_size, best_mask = size + got, smask | gmask
+                    best_size = size + got
+                    best_mask = smask | mask_of(members[list(iter_bits(gmask))].tolist())
             else:
                 deeper.append((pool, smask, size))
         children: dict[int, tuple[int, int, int]] = {}
         for pool, smask, size in deeper:
-            bits = list(iter_bits(pool))
-            cand = bits if len(bits) <= _BEAM_SAMPLE else rng.sample(bits, _BEAM_SAMPLE)
-            cand.sort(key=lambda v: ((adj[v] & pool).bit_count(), v))
-            for v in cand[:_BEAM_BRANCH]:
+            pool_bytes = _packed((pool,), n)[0]
+            cand = np.flatnonzero(_unpacked(pool_bytes, n))
+            if cand.size > _BEAM_SAMPLE:
+                cand = cand[rng.sample(range(cand.size), _BEAM_SAMPLE)]
+            deg = np.bitwise_count(packed[cand] & pool_bytes).sum(axis=1)
+            for v in cand[np.lexsort((cand, deg))[:_BEAM_BRANCH]].tolist():
                 ns = smask | (1 << v)
                 if ns in children:
                     continue
@@ -613,7 +646,7 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     for _ in range(rounds):
-        size, mask = _beam_with_exact_finish(adj, n, rng, best_size)
+        size, mask = _beam_with_exact_finish(adj, n, g.packed, rng, best_size)
         if size > best_size:
             best_size, best_mask = size, mask
         size2, mask2 = _swap_polish(adj, n, g.packed, mask or best_mask, rng, _POLISH_MOVES)

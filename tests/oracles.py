@@ -11,7 +11,16 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
-from bipart.graphs import Graph, iter_bits, mask_of
+from bipart.graphs import (
+    _BEAM_BRANCH,
+    _BEAM_SAMPLE,
+    _BEAM_WIDTH,
+    _FINISH_AT,
+    Graph,
+    _alpha_branch_and_bound,
+    iter_bits,
+    mask_of,
+)
 
 
 def gnp_rows_reference(n: int, p: float, seed: int) -> tuple[int, ...]:
@@ -456,4 +465,36 @@ def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counte
             for x in rng.sample(members, min(2, len(members))):
                 remove(x)
             stale = 0
+    return best_size, best_mask
+
+
+def beam_reference(adj, n: int, rng, incumbent: int) -> tuple[int, int]:
+    """Reference for ``bipart.graphs._beam_with_exact_finish``: the list-based beam.
+
+    Lists each pool with ``iter_bits``, samples and key-sorts the list, and runs
+    the exact finisher on the global rows.  Returns the same (size, mask) and
+    consumes the same ``rng`` draws.
+    """
+    beam = [((1 << n) - 1, 0, 0)]
+    best_size, best_mask = incumbent, 0
+    while beam:
+        deeper = []
+        for pool, smask, size in beam:
+            if pool.bit_count() <= _FINISH_AT:
+                got, gmask, _, _ = _alpha_branch_and_bound(adj, pool, 250_000, (best_size - size, 0))
+                if size + got > best_size:
+                    best_size, best_mask = size + got, smask | gmask
+            else:
+                deeper.append((pool, smask, size))
+        children = {}
+        for pool, smask, size in deeper:
+            bits = list(iter_bits(pool))
+            cand = bits if len(bits) <= _BEAM_SAMPLE else rng.sample(bits, _BEAM_SAMPLE)
+            cand.sort(key=lambda v: ((adj[v] & pool).bit_count(), v))
+            for v in cand[:_BEAM_BRANCH]:
+                ns = smask | (1 << v)
+                if ns not in children:
+                    children[ns] = (pool & ~adj[v] & ~(1 << v), ns, size + 1)
+        ranked = sorted(children.items(), key=lambda kv: (-kv[1][0].bit_count(), rng.random()))
+        beam = [state for _, state in ranked[:_BEAM_WIDTH]]
     return best_size, best_mask

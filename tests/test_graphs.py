@@ -25,13 +25,21 @@ from bipart.graphs import (
     format_edge_list,
     sample_gnp,
 )
-from bipart.graphs import _beam_with_exact_finish, _packed, _swap_polish, _transposed
+from bipart.graphs import (
+    _alpha_branch_and_bound,
+    _beam_with_exact_finish,
+    _packed,
+    _pool_rows,
+    _swap_polish,
+    _transposed,
+)
 
 from conftest import gnp_graphs
 from oracles import (
     alpha_brute,
     balanced_side_brute,
     balanced_side_heuristic_reference,
+    beam_reference,
     edge_count_within_reference,
     gnp_rows_reference,
     graph_rows_reference,
@@ -316,9 +324,45 @@ class TestIndependence:
         # every state reaches the finisher with an empty pool.
         k = Graph.complete(50)
         g = Graph(50 * copies, tuple(row << (50 * c) for c in range(copies) for row in k.adj))
-        size, mask = _beam_with_exact_finish(g.adj, g.n, random.Random(0), 0)
+        size, mask = _beam_with_exact_finish(g.adj, g.n, g.packed, random.Random(0), 0)
         assert mask and size == mask.bit_count() == copies
         assert all(not g.adj[v] & mask for v in VertexSet(mask, g.n))
+
+    # n = 400 at p = 0.3 lists pools on both sides of random.sample's switch
+    # from a set of picks to a list copy (more than 277 members against at most
+    # 277, for k = 56): the root pool and those a level or two down.
+    BEAM_GRAPHS = [
+        (59, 0.1, 3), (203, 0.2, 2), (400, 0.3, 3), (297, 0.3, 4), (333, 0.5, 5),
+        (45, 0.5, 6), (151, 0.7, 7), (250, 0.7, 8), (97, 0.9, 9), (301, 0.9, 10),
+    ]
+
+    def test_beam_matches_list_reference(self):
+        """Same (size, mask) and the same Random state after the call as the list beam."""
+        for n, p, seed in self.BEAM_GRAPHS:
+            g = sample_gnp(GnpSpec(n, p, seed))
+            incumbent = 3 * (seed % 2)
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = beam_reference(g.adj, n, ref_rng, incumbent)
+            assert _beam_with_exact_finish(g.adj, n, g.packed, rng, incumbent) == expected, (n, p, seed)
+            assert rng.getstate() == ref_rng.getstate(), (n, p, seed)
+
+    @pytest.mark.parametrize("members", [
+        [], [17], [200, 201, 202], [3, 8, 9, 15, 16, 200, 202],
+        list(range(0, 200, 5)) + [198, 200, 201, 202], list(range(159, 203)),
+    ])
+    def test_pool_rows_relabel(self, members):
+        """Member i is bit i; the exact search agrees on global and relabelled rows."""
+        g = sample_gnp(GnpSpec(203, 0.5, 11))
+        members = sorted(members)
+        expected = [sum(1 << j for j, u in enumerate(members) if g.has_edge(v, u)) for v in members]
+        pool = sum(1 << v for v in members)
+        listed, rows = _pool_rows(g.packed, pool)
+        assert listed.tolist() == members
+        assert rows == expected and all(type(row) is int for row in rows)
+        for budget, initial in ((250_000, 0), (250_000, 4), (5, 0)):
+            size, mask, complete, nodes = _alpha_branch_and_bound(rows, (1 << len(members)) - 1, budget, (initial, 0))
+            global_mask = sum(1 << members[i] for i in range(len(members)) if mask >> i & 1)
+            assert _alpha_branch_and_bound(g.adj, pool, budget, (initial, 0)) == (size, global_mask, complete, nodes)
 
     def test_search_refuses_zero_rounds(self):
         with pytest.raises(ValueError, match="rounds"):
@@ -336,7 +380,7 @@ class TestIndependence:
             g = sample_gnp(GnpSpec(n, p, seed))
             packed = _packed(g.adj, n)
             greedy = independent_set_greedy(g, seed).mask
-            _, beam = _beam_with_exact_finish(g.adj, n, random.Random(seed), 0)
+            _, beam = _beam_with_exact_finish(g.adj, n, g.packed, random.Random(seed), 0)
             for start in (greedy, beam):
                 for moves in (0, 1, 40, 1600):
                     ref_rng, rng = random.Random(seed + moves), random.Random(seed + moves)
