@@ -14,8 +14,10 @@ format (the sampler, the symmetry check and partition validation share
 ``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
 ``independent_set_search`` (the beam's pool listing and ranking, the exact
 finisher's pool rows, relabelled to local bits by ``_pool_rows``, and the swap
-polish), ``edge_count_within``, the balanced-side heuristic and
-``validate_partition``; ``spectral`` unpacks the rows it is given.
+polish), ``edge_count_within``, the balanced-side heuristic,
+``validate_partition`` and the spectral bounds of a whole graph (its
+inertia, the Graham-Pollak bound, the root of the exact partition search);
+rows given without a graph are packed first.
 
 Random graphs are sampled with one uniform deviate per vertex pair, in
 lexicographic pair order, from the Mersenne Twister stream of

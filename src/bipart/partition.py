@@ -23,6 +23,7 @@ from .graphs import (
     _greedy_independent,
     _independent,
     _is_int_list,
+    _packed,
     _pairs_are_edges,
     _strip,
     _submasks,
@@ -30,7 +31,7 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
-from .spectral import _gp_bound
+from .spectral import _gp_bounds, _matrix
 from .spectral import inertia_from_rows  # noqa: F401  (bench/tracing.py wraps this name)
 
 __all__ = [
@@ -426,6 +427,25 @@ def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
     return best
 
 
+# The most sibling children whose bounds one stacked eigen-solve computes.
+_BOUND_BLOCK = 64
+
+
+def _child_bounds(rows: tuple[int, ...], n: int, sides: list[tuple[int, int]]) -> list[int]:
+    """The Graham-Pollak bound of each child that strips one (a side, b side)
+    of ``sides`` off ``rows``, from one stacked eigen-solve.
+
+    A child's matrix is the parent's less u v^T + v u^T, where u and v are
+    the 0/1 indicators of its sides.  That is exact in float64: the sides
+    are disjoint and every cross pair is an edge of ``rows``, so each
+    subtracted 1 meets a 1.
+    """
+    u = _matrix(_packed([a for a, _ in sides], n), n)
+    v = _matrix(_packed([b for _, b in sides], n), n)
+    cross = u[:, :, None] * v[:, None, :]
+    return _gp_bounds(_matrix(_packed(rows, n), n) - cross - cross.transpose(0, 2, 1))
+
+
 def _solve_partition_number(
     g: Graph,
     min_side: int,
@@ -459,7 +479,10 @@ def _solve_partition_number(
     n- <= k.  Counting an eigenvalue within the tolerance as zero only
     lowers n+ or n-, so rounding can weaken the bound but never cut off a
     better partition.  The root's bound is computed once; it is also the
-    ``lower_bound`` of a budget-out.
+    ``lower_bound`` of a budget-out.  No other bound is computed while no
+    partition is known: with ``best_value`` INFINITY, depth + bound >=
+    ``best_value`` cannot hold.  The plain variant starts from a star
+    incumbent, so this skips bounds of the star-free search only.
 
     With ``min_side`` 2 the 4-cycle scan runs before the eigen-solve and
     doubles as a dead test over every uncovered edge, not just the one
@@ -471,24 +494,38 @@ def _solve_partition_number(
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
-    then its parent's rows and parts.  The child's part is stripped off the
-    parent's rows only when the entry is popped, so siblings share one tuple
-    of rows and the stack holds little more than the candidate lists.  Each
-    candidate list is sorted in reverse before it is pushed, so children pop
-    largest part first.
+    then its parent's rows and parts, then its bound, None until computed.
+    The child's part is stripped off the parent's rows only when the entry
+    is popped, so siblings share one tuple of rows and the stack holds little
+    more than the candidate lists.  Each candidate list is sorted in reverse
+    before it is pushed, so children pop largest part first.
+
+    A popped node that needs its bound and has none gets it in a block: one
+    stacked eigen-solve (``_child_bounds``) for the node and the siblings
+    directly below it on the stack, the entries with the same parent rows,
+    at most ``_BOUND_BLOCK`` children in all.  The siblings' bounds are
+    written into their entries.  A bound depends on the child's rows only,
+    so one computed early, even for a sibling that a later prune leaves
+    unbounded, decides what a bound computed at its pop would: nodes,
+    values, statuses and witnesses are those of a search that bounds each
+    node when it is popped.  Blocks are made only at pops, so a long
+    candidate list, such as a complete bipartite root's 4^(k-1) children,
+    costs no bound for the children a search never needs to bound.
     """
     n = g.n
-    root_bound = _gp_bound(g.adj, n)
+    root_bound = _gp_bounds(_matrix(g.packed, n)[None])[0]
 
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
     witness = incumbent
     nodes = 0
-    # (-edges, a side, b side, parent rows, parent parts); the root entry adds no part.
-    stack = [(0, 0, 0, g.adj, ())]
+    # (-edges, a side, b side, parent rows, parent parts, bound or None); the
+    # root entry adds no part and carries the root's bound.
+    stack = [(0, 0, 0, g.adj, (), root_bound)]
     while stack:
-        _, a_mask, b_mask, rows, parts = stack.pop()
+        _, a_mask, b_mask, parent, parts, bound = stack.pop()
+        rows = parent
         if a_mask:
-            rows = _strip(rows, a_mask, b_mask)
+            rows = _strip(parent, a_mask, b_mask)
             parts += ((a_mask, b_mask),)
         nodes += 1
         if nodes > budget:
@@ -505,8 +542,19 @@ def _solve_partition_number(
             edge = _fewest_four_cycles(rows)
             if edge is None:
                 continue  # an edge lies on no 4-cycle: no partition completes
-        if depth + (_gp_bound(rows, n) if parts else root_bound) >= best_value:
-            continue
+        if best_value < INFINITY:  # no bound prunes before an incumbent exists
+            if bound is None:
+                # This child and the siblings directly below it, in one solve.
+                sides = [(a_mask, b_mask)]
+                low = len(stack)
+                while low and len(sides) < _BOUND_BLOCK and stack[low - 1][3] is parent:
+                    low -= 1
+                    sides.append(stack[low][1:3])
+                bound, *below = _child_bounds(parent, n, sides)
+                for i, sibling_bound in zip(range(len(stack) - 1, low - 1, -1), below):
+                    stack[i] = stack[i][:5] + (sibling_bound,)
+            if depth + bound >= best_value:
+                continue
         a, b = edge if min_side > 1 else _least_degree_sum(rows)
         pool_a = rows[b] & ~(1 << a)
         candidates = []
@@ -521,7 +569,7 @@ def _solve_partition_number(
                 if b_mask.bit_count() < min_side:
                     continue
                 edges = a_mask.bit_count() * b_mask.bit_count()
-                candidates.append((-edges, a_mask, b_mask, rows, parts))
+                candidates.append((-edges, a_mask, b_mask, rows, parts, None))
         candidates.sort(reverse=True)
         stack += candidates
 

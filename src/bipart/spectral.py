@@ -5,7 +5,10 @@ partition E(G) is at least max(n+, n-), the larger count of positive or
 negative adjacency eigenvalues.  Inertia is computed with a symmetric
 eigenvalue solver (LAPACK via numpy), which is backward stable; the
 contract here is the sign counts within a tolerance, not a particular
-algorithm.
+algorithm.  ``_eigenvalues`` is the one call into the solver.  It takes a
+stack of matrices, so ``_gp_bounds`` bounds a block of sibling nodes of
+the exact partition search in one call, and the whole-graph bound is a
+stack of one.  A ``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -52,21 +55,48 @@ def default_tolerance(n: int) -> float:
     return 1e-8 * max(n, 1)
 
 
-def _eigenvalues(rows: Sequence[int], n: int) -> np.ndarray:
-    """Ascending adjacency eigenvalues of the graph given by bitmask rows."""
+def _matrix(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each packed row as float64 0/1 entries; of n packed
+    adjacency rows, the adjacency matrix."""
+    return _unpacked(packed, n).astype(np.float64)
+
+
+def _eigenvalues(matrices: np.ndarray, n: int) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric n x n float64 matrix of a stack,
+    along the last axis."""
     try:
-        return np.linalg.eigvalsh(_unpacked(_packed(rows, n), n).astype(np.float64))
+        return np.linalg.eigvalsh(matrices)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigenvalue computation failed to converge: {exc}") from exc
 
 
-def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> InertiaSignature:
-    """Inertia of the graph given directly by adjacency bitmask rows."""
+def _gp_bounds(matrices: np.ndarray) -> list[int]:
+    """max(n+, n-) of each matrix of a (k, n, n) float64 stack, at the default
+    tolerance, from one eigen-solve.
+
+    The counts of :func:`inertia_from_rows` without the signature, for the
+    whole-graph bound and for the nodes of the exact partition search.
+    """
+    n = matrices.shape[-1]
+    eigenvalues = _eigenvalues(matrices, n)
+    tol = default_tolerance(n)
+    n_plus = np.count_nonzero(eigenvalues > tol, axis=-1)
+    n_minus = np.count_nonzero(eigenvalues < -tol, axis=-1)
+    return np.maximum(n_plus, n_minus).tolist()
+
+
+def _gp_bound(rows: Sequence[int], n: int) -> int:
+    """max(n+, n-) of the graph given by bitmask rows, at the default tolerance."""
+    return _gp_bounds(_matrix(_packed(rows, n), n)[None])[0]
+
+
+def _signature(packed: np.ndarray, n: int, tol: float | None) -> InertiaSignature:
+    """Inertia of the graph given by n packed rows."""
     if tol is None:
         tol = default_tolerance(n)
     if not 0 < tol < np.inf:  # also refuses nan
         raise ValueError("tolerance must be finite and positive")
-    eigenvalues = _eigenvalues(rows, n)
+    eigenvalues = _eigenvalues(_matrix(packed, n), n)
     n_plus = int(np.count_nonzero(eigenvalues > tol))
     n_minus = int(np.count_nonzero(eigenvalues < -tol))
     n_zero = n - n_plus - n_minus
@@ -75,22 +105,16 @@ def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> 
     return InertiaSignature(n_plus, n_zero, n_minus, tol, ambiguous)
 
 
-def _gp_bound(rows: Sequence[int], n: int) -> int:
-    """max(n+, n-) of the graph given by bitmask rows, at the default tolerance.
-
-    The counts of :func:`inertia_from_rows` without the signature, for the
-    whole-graph bound and for each node of the exact partition search.
-    """
-    eigenvalues = _eigenvalues(rows, n)
-    tol = default_tolerance(n)
-    return max(int(np.count_nonzero(eigenvalues > tol)), int(np.count_nonzero(eigenvalues < -tol)))
+def inertia_from_rows(rows: Sequence[int], n: int, tol: float | None = None) -> InertiaSignature:
+    """Inertia of the graph given directly by adjacency bitmask rows."""
+    return _signature(_packed(rows, n), n, tol)
 
 
 def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:
     """Eigenvalue sign counts of the adjacency matrix of g."""
-    return inertia_from_rows(g.adj, g.n, tol)
+    return _signature(g.packed, g.n, tol)
 
 
 def graham_pollak_lower_bound(g: Graph) -> int:
     """max(n+, n-): a lower bound on the size of any biclique edge partition."""
-    return _gp_bound(g.adj, g.n)
+    return _gp_bounds(_matrix(g.packed, g.n)[None])[0]

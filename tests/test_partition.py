@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from bipart import partition as partition_module
 from bipart.graphs import (
     GnpSpec,
     Graph,
+    _strip,
     independence_number_exact,
     independent_set_greedy,
     iter_bits,
@@ -33,7 +35,7 @@ from bipart.partition import (
     strong_partition_number_exact,
     validate_partition,
 )
-from bipart.spectral import graham_pollak_lower_bound
+from bipart.spectral import _gp_bound, graham_pollak_lower_bound
 
 from conftest import gnp_graphs
 from oracles import (
@@ -42,6 +44,55 @@ from oracles import (
     tau_brute,
     validate_partition_reference,
 )
+
+
+def count_bound_matrices(monkeypatch) -> list[int]:
+    """Watch the search's stacked bound: the list gets the order of each
+    matrix solved, and every block is checked against the cap."""
+    calls: list[int] = []
+    real = partition_module._gp_bounds
+
+    def counting(matrices):
+        assert 1 <= len(matrices) <= partition_module._BOUND_BLOCK
+        calls.extend([matrices.shape[-1]] * len(matrices))
+        return real(matrices)
+
+    monkeypatch.setattr(partition_module, "_gp_bounds", counting)
+    return calls
+
+
+@st.composite
+def sibling_blocks(draw):
+    """Residual rows on 2-16 vertices after random strips, and a block's worth
+    of bicliques of them, each listed as the search lists a child: a side a
+    plus some of N(b), b side b plus some of the common neighbourhood."""
+    n = draw(st.integers(2, 16))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.6:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for _ in range(rng.randrange(4)):
+        side = [rng.randrange(3) for _ in range(n)]
+        rows = list(_strip(rows, mask_of(v for v in range(n) if side[v] == 1),
+                           mask_of(v for v in range(n) if side[v] == 2)))
+    edges = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if u < v]
+    if not edges:
+        rows[0] |= 2
+        rows[1] |= 1
+        edges = [(0, 1)]
+    sides = []
+    for _ in range(partition_module._BOUND_BLOCK):
+        a, b = rng.choice(edges)
+        a_mask = (1 << a) | mask_of(v for v in iter_bits(rows[b]) if rng.random() < 0.3)
+        common = rows[a]
+        for x in iter_bits(a_mask):
+            common &= rows[x]
+        b_mask = (1 << b) | mask_of(v for v in iter_bits(common) if rng.random() < 0.3)
+        sides.append((a_mask, b_mask))
+    return tuple(rows), n, sides
 
 
 def parts(*pairs):
@@ -518,6 +569,39 @@ class TestPartitionNumber:
             if res.witness is not None:
                 assert res.witness.is_valid()
 
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_root_children_get_no_bound_before_they_are_needed(self, monkeypatch, budget):
+        # The root of K_{8,8} lists the 4^7 bicliques through its branching
+        # edge.  The first child popped is the whole graph, after which no
+        # child can improve, so no child of the root ever needs its bound.
+        calls = count_bound_matrices(monkeypatch)
+        res = partition_number_exact(Graph.complete_bipartite(8, 8), budget=budget)
+        assert (res.value, res.status) == (8 if budget == 1 else 1, LOWER_BOUND_ONLY)
+        assert calls == [16]
+
+    @given(sibling_blocks(), st.sampled_from([1, 2, 17, partition_module._BOUND_BLOCK]))
+    @settings(max_examples=120, deadline=None)
+    def test_block_bounds_match_one_child_at_a_time(self, case, size):
+        rows, n, sides = case
+        sides = sides[:size]
+        assert partition_module._child_bounds(rows, n, sides) == [
+            _gp_bound(_strip(rows, a, b), n) for a, b in sides
+        ]
+
+    def test_blocks_are_capped_and_solve_each_child_once(self, monkeypatch):
+        blocks = []
+        real = partition_module._gp_bounds
+        monkeypatch.setattr(partition_module, "_gp_bounds", lambda m: blocks.append(len(m)) or real(m))
+        nodes = 0
+        for s in range(6):
+            res = partition_number_exact(sample_gnp(GnpSpec(12, 0.5, 140_000 + s)))
+            assert res.status == EXACT
+            nodes += res.nodes
+        # A sibling whose bound a block already holds is not solved again,
+        # so the matrices solved number about the nodes, not a block per node.
+        assert max(blocks) == partition_module._BOUND_BLOCK
+        assert sum(blocks) < 2 * nodes
+
 
 class TestStrongPartitionNumber:
     def test_tiny_graphs_are_zero_by_definition(self):
@@ -585,13 +669,26 @@ class TestStrongPartitionNumber:
     def test_dead_end_costs_no_eigen_solve(self, monkeypatch):
         # A 4-cycle and a triangle: a triangle edge lies on no 4-cycle, so
         # the root itself is dead and only the root's bound is computed.
-        calls = []
-        real = partition_module._gp_bound
-        monkeypatch.setattr(partition_module, "_gp_bound", lambda rows, n: calls.append(n) or real(rows, n))
+        calls = count_bound_matrices(monkeypatch)
         g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
         res = strong_partition_number_exact(g)
         assert (res.value, res.status, res.nodes) == (INFINITY, EXACT, 1)
         assert calls == [7]
+
+    def test_no_bound_before_a_partition_is_found(self, monkeypatch):
+        # Without an incumbent no bound can prune, so a search that never
+        # finds a partition solves the root's matrix only: the cube's full
+        # infeasibility proof, and a budget-out of a random graph.
+        calls = count_bound_matrices(monkeypatch)
+        q3 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                                  (0, 4), (1, 5), (2, 6), (3, 7)])
+        res = strong_partition_number_exact(q3)
+        assert (res.value, res.status) == (INFINITY, EXACT) and res.nodes > 1
+        assert calls == [8]
+        calls.clear()
+        res = strong_partition_number_exact(sample_gnp(GnpSpec(12, 0.5, 1)), budget=200)
+        assert (res.value, res.status, res.nodes) == (INFINITY, LOWER_BOUND_ONLY, 201)
+        assert calls == [12]
 
     def test_at_least_plain_value_when_finite(self):
         fixtures = [
