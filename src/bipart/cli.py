@@ -104,7 +104,7 @@ def bounds(graph_path: str, tol: float | None) -> None:
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--mode", type=click.Choice(["tau", "tauprime"]), default="tau", show_default=True)
 @click.option("--budget", type=click.IntRange(min=0), default=5_000_000, show_default=True,
-              help="Node-expansion budget for the search.")
+              help="Node budget for the search: every node popped counts, pruned ones included.")
 def exact(graph_path: str, mode: str, budget: int) -> None:
     """Solve the bipartition number (or its star-free variant) exactly."""
     g = _load_graph(graph_path)

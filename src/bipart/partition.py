@@ -369,7 +369,9 @@ class SolveResult:
 
     ``value`` is the optimum when status is "exact" (possibly INFINITY for the
     star-free variant, certifying that the completed search found no
-    partition).  On budget exhaustion status is "lower-bound-only": ``value``
+    partition).  A search is also exact as soon as its incumbent meets the
+    Graham-Pollak bound of the whole graph, with the nodes left unvisited.
+    On budget exhaustion status is "lower-bound-only": ``value``
     is the best incumbent found, ``lower_bound`` the best proven bound.
     ``witness`` is None when value is 0 by definition or INFINITY.
     """
@@ -479,10 +481,16 @@ def _solve_partition_number(
     n- <= k.  Counting an eigenvalue within the tolerance as zero only
     lowers n+ or n-, so rounding can weaken the bound but never cut off a
     better partition.  The root's bound is computed once; it is also the
-    ``lower_bound`` of a budget-out.  No other bound is computed while no
-    partition is known: with ``best_value`` INFINITY, depth + bound >=
-    ``best_value`` cannot hold.  The plain variant starts from a star
-    incumbent, so this skips bounds of the star-free search only.
+    ``lower_bound`` of a budget-out.  A leaf that lowers ``best_value`` to
+    the root's bound ends the search with status exact.  The bound holds
+    for both variants, as a star-free partition is a biclique partition,
+    so no leaf left on the stack has fewer parts; and the full search
+    replaces its witness only by a leaf with fewer parts.  So value,
+    witness and lower bound are the full search's, and only the node count
+    is lower.  No other bound is computed while no partition is known: with
+    ``best_value`` INFINITY, depth + bound >= ``best_value`` cannot hold.
+    The plain variant starts from a star incumbent, so this skips bounds of
+    the star-free search only.
 
     With ``min_side`` 2 the 4-cycle scan runs before the eigen-solve and
     doubles as a dead test over every uncovered edge, not just the one
@@ -535,6 +543,8 @@ def _solve_partition_number(
             if depth < best_value:
                 best_value = depth
                 witness = BicliquePartition(g, tuple(Biclique(x, y) for x, y in parts))
+                if best_value <= root_bound:
+                    break  # no node left on the stack can give fewer parts
             continue
         if depth + 1 >= best_value:
             continue  # at least one more part is needed

@@ -118,15 +118,15 @@ WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (
 BUDGET_GRAPHS = [(n, p, seed) for n in range(11, 14) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 
 WITNESS_DIGESTS = {
-    "tau": "e782db1525e4eb37107a563367d182254bbf81cfe4602e07077754a236005967",
-    "tau_strong": "e70db9eaa97b910b987767035c9b350a65268417febe9a2b6f0412fa60428453",
+    "tau": "03323a588d1e2b9912b41b41334035926163660629399d2556bdeebb57d5ac16",
+    "tau_strong": "102bf513eaa678c8261e684ada137b8814d76b93adc6598c3a6d7ab2fe09f895",
     "star_decomposition": "2a7b06126903393fcfe5e4b45b90f061af4420138c0eed36b52f70faf18398e1",
     "normalize_stars_first": "ad2b4214f3c4ad9e21e8d7d7d770c4b5eaeba16f32cfebc1623c9366b5860ce9",
     "biclique_exact": "31f2359fed10b27e244f3cacb1e269746218c7c98e6401e04eedda8772e756b4",
     "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
     "star_plus_exact": "a7fd453cfec28c7bdbd91650e8a3832cb55230bae5e2138e8c0e14916e069aac",
     "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
-    "budget_outs": "0381c13a68a28ca9b5b7d50711f9c44638f1387ce4efd551520237925726c975",
+    "budget_outs": "b7f23c0d76743a1bf1e60b0324e436118a3a2d319f7b6ec7cffd791bb72a6176",
 }
 
 
@@ -161,6 +161,22 @@ def test_witness_digests():
     assert any(r["value"] == "infinity" for r in budget_outs)  # tau' found no partition
     for key, expected in WITNESS_DIGESTS.items():
         got = hashlib.sha256(json.dumps(outputs[key], sort_keys=True).encode()).hexdigest()
+        assert got == expected, key
+
+
+# The tau and tau' results above without their node counts: a change to how
+# much the search explores must leave these alone.
+RESULT_DIGESTS = {
+    "tau": "c9c3570a06f0415184e1aa80d5cb34d691a4ffd531b57d17a6f2d14e389f8f72",
+    "tau_strong": "f909a155a07692e4e1415ecb49edea49cf498711c9b63efe59f1021cf5c365b7",
+}
+
+
+def test_witness_result_digests():
+    outputs = _witness_outputs()
+    for key, expected in RESULT_DIGESTS.items():
+        results = [{k: v for k, v in r.items() if k != "nodes"} for r in outputs[key]]
+        got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
         assert got == expected, key
 
 

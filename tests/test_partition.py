@@ -572,11 +572,15 @@ class TestPartitionNumber:
     @pytest.mark.parametrize("budget", [1, 1000])
     def test_root_children_get_no_bound_before_they_are_needed(self, monkeypatch, budget):
         # The root of K_{8,8} lists the 4^7 bicliques through its branching
-        # edge.  The first child popped is the whole graph, after which no
-        # child can improve, so no child of the root ever needs its bound.
+        # edge.  The first child popped is the whole graph, one part, which
+        # meets the root's bound, so the search returns there and no child of
+        # the root ever needs its bound.
         calls = count_bound_matrices(monkeypatch)
         res = partition_number_exact(Graph.complete_bipartite(8, 8), budget=budget)
-        assert (res.value, res.status) == (8 if budget == 1 else 1, LOWER_BOUND_ONLY)
+        if budget == 1:
+            assert (res.value, res.status) == (8, LOWER_BOUND_ONLY)
+        else:
+            assert (res.value, res.status, res.nodes) == (1, EXACT, 2)
         assert calls == [16]
 
     @given(sibling_blocks(), st.sampled_from([1, 2, 17, partition_module._BOUND_BLOCK]))
@@ -690,6 +694,14 @@ class TestStrongPartitionNumber:
         assert (res.value, res.status, res.nodes) == (INFINITY, LOWER_BOUND_ONLY, 201)
         assert calls == [12]
 
+    @pytest.mark.parametrize("side", [3, 4])
+    def test_first_leaf_at_the_root_bound_ends_the_search(self, side):
+        # The first child of K_{s,s} is the whole graph, and its one part
+        # meets the inertia bound, so none of its siblings is popped.
+        res = strong_partition_number_exact(Graph.complete_bipartite(side, side))
+        assert (res.value, res.status, res.nodes) == (1, EXACT, 2)
+        assert res.witness.is_valid()
+
     def test_at_least_plain_value_when_finite(self):
         fixtures = [
             Graph.complete_bipartite(2, 2),
@@ -729,8 +741,8 @@ NODE_GRAPHS = [(n, p, seed) for n in (9, 10, 11) for p in (0.3, 0.5, 0.7) for se
 
 
 @pytest.mark.parametrize("solve, nodes, exact", [
-    (partition_number_exact, 2221, 36),
-    (strong_partition_number_exact, 15309, 35),
+    (partition_number_exact, 446, 36),
+    (strong_partition_number_exact, 15252, 35),
 ])
 def test_search_node_totals(solve, nodes, exact):
     # Node counts are deterministic, so they pin the search order and the
@@ -738,6 +750,18 @@ def test_search_node_totals(solve, nodes, exact):
     results = [solve(sample_gnp(GnpSpec(n, p, seed)), budget=5000) for n, p, seed in NODE_GRAPHS]
     assert sum(r.nodes for r in results) == nodes
     assert sum(r.status == EXACT for r in results) == exact
+
+
+@pytest.mark.parametrize("solve", [partition_number_exact, strong_partition_number_exact])
+@pytest.mark.parametrize("budget", [1, 50, 5000])
+def test_value_at_the_inertia_bound_is_exact(solve, budget):
+    # No partition has fewer parts than the Graham-Pollak bound, so a result
+    # that meets it is proven optimal, whatever budget was left.
+    for n, p, seed in NODE_GRAPHS:
+        g = sample_gnp(GnpSpec(n, p, seed))
+        res = solve(g, budget=budget)
+        if res.value == graham_pollak_lower_bound(g):
+            assert (res.status, res.lower_bound) == (EXACT, res.value), (n, p, seed)
 
 
 class TestConstructionValidity:
