@@ -38,6 +38,7 @@ from bipart.partition import (
 from bipart.spectral import _gp_bound, graham_pollak_lower_bound
 
 from conftest import gnp_graphs
+from make_solver_results import differences, recorded_rows, solve_rows
 from oracles import (
     beta_brute,
     normalize_stars_first_reference,
@@ -762,6 +763,14 @@ def test_value_at_the_inertia_bound_is_exact(solve, budget):
         res = solve(g, budget=budget)
         if res.value == graham_pollak_lower_bound(g):
             assert (res.status, res.lower_bound) == (EXACT, res.value), (n, p, seed)
+
+
+def test_solver_results_match_the_record():
+    # 1,344 tau and tau' solves of seeded G(n, p) at four budgets, against
+    # tests/data/solver_results.json: results and node counts are checked
+    # apart.  Run tests/make_solver_results.py to list the differences.
+    found = differences(recorded_rows(), solve_rows())
+    assert not any(found.values()), {kind: lines[:10] for kind, lines in found.items() if lines}
 
 
 class TestConstructionValidity:
