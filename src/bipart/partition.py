@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .graphs import (
     Graph,
     VertexSet,
@@ -429,23 +431,149 @@ def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
     return best
 
 
-# The most sibling children whose bounds one stacked eigen-solve computes.
+# The most sibling children whose bounds one call of _child_bounds computes.
 _BOUND_BLOCK = 64
+
+# Blocks of fewer children skip _update_bounds.  Its fixed cost, one
+# eigendecomposition and about forty small numpy calls, meets the direct
+# solve's per-child cost at about ten children (over the 1,195 blocks of one
+# exact-small bench pass, 2-core x86-64, numpy 2.4 on one OpenBLAS thread).
+_UPDATE_MIN = 10
+
+# In _update_bounds a quantity of magnitude at most _ZERO counts as zero.  A
+# child with a 2 x 2 eigenvalue or d^T T d in (_ZERO, _CHILD_CLEAR], and every
+# child of a parent with an eigenvalue in (_ZERO, _PARENT_CLEAR], is too near
+# a sign change to read and is left to the direct eigen-solve.
+_ZERO = 1e-9
+_CHILD_CLEAR = 1e-6
+_PARENT_CLEAR = 1e-4
+
+
+def _pair_eigenvalues(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper eigenvalues of the symmetric 2 x 2 matrices whose
+    entries (xx, xy, yy) are the rows of ``entries``."""
+    xx, xy, yy = entries
+    mean = (xx + yy) / 2
+    radius = np.hypot((xx - yy) / 2, xy)
+    return mean - radius, mean + radius
+
+
+def _update_bounds(
+    parent: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """max(n+, n-) of each child M - u v^T - v u^T of the parent matrix M, one
+    child per row of ``u`` and ``v``, from one eigendecomposition of M; and
+    the mask of the children it leaves to the direct eigen-solve.
+
+    With W = [u v] and S = [[0, 1], [1, 0]], the child C = M - W S W^T is the
+    Schur complement of S (its own inverse) in K = [[M, W], [W^T, S]], so
+    n+-(C) = n+-(K) - 1 by Haynsworth's inertia additivity (Haynsworth
+    1968).  With M = Q L Q^T, split Q^T W into its rows W1 on the nonzero
+    eigenvalues L1 and W0 on the null space; then n+-(K) = n+-(M) + n+-(R)
+    with R = [[0, W0], [W0^T, T]] and T = S - W1^T L1^-1 W1, and
+
+    - rank W0 = 2: n+-(R) = 2;
+    - rank W0 = 1: n+-(R) = 1 + [+-d^T T d > 0], d a unit vector of ker W0;
+    - rank W0 = 0: n+-(R) = n+-(T).
+
+    The rank is read from the eigenvalues of W0^T W0.  Every child is left
+    to the direct solve when M has an eigenvalue near zero, and a child when
+    one of the 2 x 2 quantities it reads is near zero (see ``_ZERO``).
+    """
+    k, n = u.shape
+    unread = np.zeros(k, np.int64), np.ones(k, bool)
+    try:
+        lam, q = np.linalg.eigh(parent)
+    except np.linalg.LinAlgError:
+        return unread
+    null = np.abs(lam) <= _ZERO
+    if np.any(~null & (np.abs(lam) <= _PARENT_CLEAR)):
+        return unread
+    wu, wv = u @ q, v @ q
+    weights = np.stack((null, np.divide(1.0, lam, out=np.zeros(n), where=~null)), axis=1)
+    # Per child, the entries (uu, uv, vv) of W0^T W0 and of W1^T L1^-1 W1.
+    gram, form = (np.stack((wu * wu, wu * wv, wv * wv)) @ weights).transpose(2, 0, 1)
+    t = np.stack((-form[0], 1 - form[1], -form[2]))
+    gram_low, gram_high = _pair_eigenvalues(gram)
+    rank = (gram_low > _ZERO).astype(np.int64) + (gram_high > _ZERO)
+    t_low, t_high = _pair_eigenvalues(t)
+    # With rank 1, W0^T W0 = g e e^T, g its trace, and d = (-e_v, e_u).
+    trace = np.where(rank == 1, gram[0] + gram[2], 1.0)
+    dtd = (gram[2] * t[0] - 2 * gram[1] * t[1] + gram[0] * t[2]) / trace
+    # n+-(R) is rank W0 plus the sign counts of these two rows.
+    signs = np.stack((np.where(rank == 0, t_low, np.where(rank == 1, dtd, 0.0)),
+                      np.where(rank == 0, t_high, 0.0)))
+    read = np.abs(np.concatenate((signs, [gram_low, gram_high])))
+    unsure = np.any((read > _ZERO) & (read <= _CHILD_CLEAR), axis=0)
+    n_plus = np.count_nonzero(lam > _ZERO) + rank - 1 + np.count_nonzero(signs > _ZERO, axis=0)
+    n_minus = np.count_nonzero(lam < -_ZERO) + rank - 1 + np.count_nonzero(signs < -_ZERO, axis=0)
+    return np.maximum(n_plus, n_minus), unsure
+
+
+def _direct_bounds(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """max(n+, n-) of each child M - u v^T - v u^T of the parent matrix M, one
+    child per row of ``u`` and ``v``, from one stacked eigen-solve of the
+    children's matrices."""
+    cross = u[:, :, None] * v[:, None, :]
+    return _gp_bounds(parent - cross - cross.transpose(0, 2, 1))
 
 
 def _child_bounds(rows: tuple[int, ...], n: int, sides: list[tuple[int, int]]) -> list[int]:
     """The Graham-Pollak bound of each child that strips one (a side, b side)
-    of ``sides`` off ``rows``, from one stacked eigen-solve.
+    of ``sides`` off ``rows``.
 
     A child's matrix is the parent's less u v^T + v u^T, where u and v are
     the 0/1 indicators of its sides.  That is exact in float64: the sides
     are disjoint and every cross pair is an edge of ``rows``, so each
-    subtracted 1 meets a 1.
+    subtracted 1 meets a 1.  A block of ``_UPDATE_MIN`` or more children is
+    bounded from one eigendecomposition of the parent (``_update_bounds``);
+    a smaller block, and the children the update leaves, by the eigen-solve
+    of their own matrices (``_direct_bounds``).
     """
+    parent = _matrix(_packed(rows, n), n)
     u = _matrix(_packed([a for a, _ in sides], n), n)
     v = _matrix(_packed([b for _, b in sides], n), n)
-    cross = u[:, :, None] * v[:, None, :]
-    return _gp_bounds(_matrix(_packed(rows, n), n) - cross - cross.transpose(0, 2, 1))
+    if len(sides) < _UPDATE_MIN:
+        return _direct_bounds(parent, u, v)
+    bounds, unsure = _update_bounds(parent, u, v)
+    if unsure.any():
+        bounds[unsure] = _direct_bounds(parent, u[unsure], v[unsure])
+    return bounds.tolist()
+
+
+def _children(
+    rows: tuple[int, ...], parts: tuple[tuple[int, int], ...], a: int, b: int, min_side: int
+) -> list[tuple]:
+    """The stack entries of the bicliques of ``rows`` through edge ab with both
+    sides of at least ``min_side`` vertices, sorted in reverse, so that they
+    pop largest part first.
+
+    Side A is a plus a subset of N(b) - a, and side B is b plus a subset of
+    the common neighbourhood of A.  A walk grows A one vertex of N(b) - a at
+    a time, in ascending order, so it reaches each subset once, and carries
+    A's common neighbourhood less b: one row operation per step.  A branch
+    whose common neighbourhood has fewer than ``min_side`` - 1 vertices is
+    cut, as no A that grows from it has a B side of ``min_side``.
+    """
+    b_bit = 1 << b
+    children = []
+    # (side A, |A|, A's common neighbourhood less b, the vertices A may still add)
+    walk = [(1 << a, 1, rows[a] & ~b_bit, rows[b] & ~(1 << a))]
+    while walk:
+        a_mask, a_size, pool_b, rest = walk.pop()
+        if a_size >= min_side:
+            for sub_b in _submasks(pool_b):
+                b_size = sub_b.bit_count() + 1
+                if b_size >= min_side:
+                    children.append((-a_size * b_size, a_mask, sub_b | b_bit, rows, parts, None))
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            common = pool_b & rows[low.bit_length() - 1]
+            if common.bit_count() >= min_side - 1:
+                walk.append((a_mask | low, a_size + 1, common, rest))
+    children.sort(reverse=True)
+    return children
 
 
 def _solve_partition_number(
@@ -461,9 +589,12 @@ def _solve_partition_number(
     first.  Branching on any uncovered edge is complete: every partition
     covers ab with exactly one part, and that part, with a put on its side
     A, is listed exactly once (A is a plus a subset of N(b), B is b plus a
-    subset of the common neighbourhood of A).  The edge is picked fail-first,
-    as the one whose children are likely fewest (Haralick and Elliott, 1980);
-    ties go to the lexicographically first (a, b):
+    subset of the common neighbourhood of A).  ``_children`` lists them by a
+    walk that grows A one vertex at a time and carries its common
+    neighbourhood; the star-free walk cuts a branch once that is empty.  The
+    edge is picked fail-first, as the one whose children are likely fewest
+    (Haralick and Elliott, 1980); ties go to the lexicographically first
+    (a, b):
 
     - plain (``min_side`` 1): the least residual degree sum deg(a) + deg(b),
       which bounds the candidates by 2^(deg a + deg b - 2).  It is picked
@@ -481,16 +612,19 @@ def _solve_partition_number(
     n- <= k.  Counting an eigenvalue within the tolerance as zero only
     lowers n+ or n-, so rounding can weaken the bound but never cut off a
     better partition.  The root's bound is computed once; it is also the
-    ``lower_bound`` of a budget-out.  A leaf that lowers ``best_value`` to
-    the root's bound ends the search with status exact.  The bound holds
-    for both variants, as a star-free partition is a biclique partition,
-    so no leaf left on the stack has fewer parts; and the full search
-    replaces its witness only by a leaf with fewer parts.  So value,
-    witness and lower bound are the full search's, and only the node count
-    is lower.  No other bound is computed while no partition is known: with
-    ``best_value`` INFINITY, depth + bound >= ``best_value`` cannot hold.
-    The plain variant starts from a star incumbent, so this skips bounds of
-    the star-free search only.
+    ``lower_bound`` of a budget-out, which is exact when the incumbent
+    already meets it.  Only the plain variant's star incumbent can, and a
+    search with budget left prunes the root then, so this decides statuses
+    at budget 0 only.  A leaf that lowers ``best_value`` to the root's bound
+    ends the search with status exact.  The bound holds for both variants,
+    as a star-free partition is a biclique partition, so no leaf left on
+    the stack has fewer parts; and the full search replaces its witness
+    only by a leaf with fewer parts.  So value, witness and lower bound are
+    the full search's, and only the node count is lower.  No other bound is
+    computed while no partition is known: with ``best_value`` INFINITY,
+    depth + bound >= ``best_value`` cannot hold.  The plain variant starts
+    from a star incumbent, so this skips bounds of the star-free search
+    only.
 
     With ``min_side`` 2 the 4-cycle scan runs before the eigen-solve and
     doubles as a dead test over every uncovered edge, not just the one
@@ -508,17 +642,23 @@ def _solve_partition_number(
     more than the candidate lists.  Each candidate list is sorted in reverse
     before it is pushed, so children pop largest part first.
 
-    A popped node that needs its bound and has none gets it in a block: one
-    stacked eigen-solve (``_child_bounds``) for the node and the siblings
-    directly below it on the stack, the entries with the same parent rows,
-    at most ``_BOUND_BLOCK`` children in all.  The siblings' bounds are
-    written into their entries.  A bound depends on the child's rows only,
-    so one computed early, even for a sibling that a later prune leaves
-    unbounded, decides what a bound computed at its pop would: nodes,
-    values, statuses and witnesses are those of a search that bounds each
-    node when it is popped.  Blocks are made only at pops, so a long
-    candidate list, such as a complete bipartite root's 4^(k-1) children,
-    costs no bound for the children a search never needs to bound.
+    A popped node that needs its bound and has none gets it in a block, one
+    call of ``_child_bounds`` for the node and the siblings directly below it
+    on the stack, the entries with the same parent rows, at most
+    ``_BOUND_BLOCK`` children in all.  A block of ``_UPDATE_MIN`` or more
+    is bounded from one eigendecomposition of the parent, each child by a
+    2 x 2 Schur complement (Haynsworth's inertia additivity); a child or
+    parent with a quantity near zero, and a smaller block, fall back to one
+    stacked eigen-solve of the children's matrices.  Away from zero both
+    give the exact inertia, so the bound does not depend on the path that
+    computes it.  The siblings' bounds are written into their entries.  A
+    bound depends on the child's rows only, so one computed early, even for
+    a sibling that a later prune leaves unbounded, decides what a bound
+    computed at its pop would: nodes, values, statuses and witnesses are
+    those of a search that bounds each node when it is popped.  Blocks are
+    made only at pops, so a long candidate list, such as a complete
+    bipartite root's 4^(k-1) children, costs no bound for the children a
+    search never needs to bound.
     """
     n = g.n
     root_bound = _gp_bounds(_matrix(g.packed, n)[None])[0]
@@ -537,7 +677,8 @@ def _solve_partition_number(
             parts += ((a_mask, b_mask),)
         nodes += 1
         if nodes > budget:
-            return SolveResult(best_value, witness, LOWER_BOUND_ONLY, root_bound, nodes)
+            status = EXACT if best_value <= root_bound else LOWER_BOUND_ONLY
+            return SolveResult(best_value, witness, status, root_bound, nodes)
         depth = len(parts)
         if not any(rows):  # every edge is covered
             if depth < best_value:
@@ -566,22 +707,7 @@ def _solve_partition_number(
             if depth + bound >= best_value:
                 continue
         a, b = edge if min_side > 1 else _least_degree_sum(rows)
-        pool_a = rows[b] & ~(1 << a)
-        candidates = []
-        for sub_a in _submasks(pool_a):
-            a_mask = sub_a | (1 << a)
-            if a_mask.bit_count() < min_side:
-                continue
-            # Common neighbors of a_mask; rows[a] holds no a, so it is the pool.
-            pool_b = _common_mask(rows, rows[a], sub_a) & ~(1 << b)
-            for sub_b in _submasks(pool_b):
-                b_mask = sub_b | (1 << b)
-                if b_mask.bit_count() < min_side:
-                    continue
-                edges = a_mask.bit_count() * b_mask.bit_count()
-                candidates.append((-edges, a_mask, b_mask, rows, parts, None))
-        candidates.sort(reverse=True)
-        stack += candidates
+        stack += _children(rows, parts, a, b, min_side)
 
     return SolveResult(best_value, witness, EXACT, best_value, nodes)
 

@@ -5,10 +5,14 @@ partition E(G) is at least max(n+, n-), the larger count of positive or
 negative adjacency eigenvalues.  Inertia is computed with a symmetric
 eigenvalue solver (LAPACK via numpy), which is backward stable; the
 contract here is the sign counts within a tolerance, not a particular
-algorithm.  ``_eigenvalues`` is the one call into the solver.  It takes a
-stack of matrices, so ``_gp_bounds`` bounds a block of sibling nodes of
-the exact partition search in one call, and the whole-graph bound is a
-stack of one.  A ``Graph`` is read from ``Graph.packed``.
+algorithm.  ``_eigenvalues`` is this module's one call into the solver.
+It takes a stack of matrices, so ``_gp_bounds`` bounds many matrices in one
+call, and the whole-graph bound is a stack of one.  The exact partition
+search makes the other call: ``partition._update_bounds`` decomposes a
+node's matrix once (``numpy.linalg.eigh``) and reads the inertia of its
+children from that.  The children it cannot read, and small blocks, go to
+``_gp_bounds``, which is also the reference its tests compare against.  A
+``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ def _gp_bounds(matrices: np.ndarray) -> list[int]:
     tolerance, from one eigen-solve.
 
     The counts of :func:`inertia_from_rows` without the signature, for the
-    whole-graph bound and for the nodes of the exact partition search.
+    whole-graph bound and for the nodes of the exact partition search that
+    its rank-2 update does not bound.
     """
     n = matrices.shape[-1]
     eigenvalues = _eigenvalues(matrices, n)

@@ -115,6 +115,8 @@ def test_search_digest():
 WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 # Larger graphs solved at budgets 0 and 200, so the digest pins budget-outs:
 # tau with its star incumbent, and tau' with no partition found (INFINITY).
+# Where the star incumbent meets the root's bound, as for tau at p = 0.3,
+# budget 0 ends exact.
 BUDGET_GRAPHS = [(n, p, seed) for n in range(11, 14) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 
 WITNESS_DIGESTS = {
@@ -126,7 +128,7 @@ WITNESS_DIGESTS = {
     "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
     "star_plus_exact": "a7fd453cfec28c7bdbd91650e8a3832cb55230bae5e2138e8c0e14916e069aac",
     "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
-    "budget_outs": "b7f23c0d76743a1bf1e60b0324e436118a3a2d319f7b6ec7cffd791bb72a6176",
+    "budget_outs": "ef1bb41079efcc67904ba2c3c4dce876fad13d9d025aeeb30436b70efd84a0d4",
 }
 
 

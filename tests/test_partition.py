@@ -3,6 +3,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from bipart import partition as partition_module
 from bipart.graphs import (
     GnpSpec,
     Graph,
+    _common_mask,
     _strip,
+    _submasks,
     independence_number_exact,
     independent_set_greedy,
     iter_bits,
@@ -48,37 +51,63 @@ from oracles import (
 
 
 def count_bound_matrices(monkeypatch) -> list[int]:
-    """Watch the search's stacked bound: the list gets the order of each
-    matrix solved, and every block is checked against the cap."""
+    """Watch the search's bounds: the list gets the order of each matrix
+    bounded, the root's through _gp_bounds and each child's through
+    _child_bounds, and every block is checked against the cap.  A child that
+    a block hands on to the direct solve is listed once more."""
     calls: list[int] = []
-    real = partition_module._gp_bounds
+    real_solve, real_block = partition_module._gp_bounds, partition_module._child_bounds
 
-    def counting(matrices):
-        assert 1 <= len(matrices) <= partition_module._BOUND_BLOCK
+    def solve(matrices):
         calls.extend([matrices.shape[-1]] * len(matrices))
-        return real(matrices)
+        return real_solve(matrices)
 
-    monkeypatch.setattr(partition_module, "_gp_bounds", counting)
+    def block(rows, n, sides):
+        assert 1 <= len(sides) <= partition_module._BOUND_BLOCK
+        calls.extend([n] * len(sides))
+        return real_block(rows, n, sides)
+
+    monkeypatch.setattr(partition_module, "_gp_bounds", solve)
+    monkeypatch.setattr(partition_module, "_child_bounds", block)
     return calls
 
 
-@st.composite
-def sibling_blocks(draw):
-    """Residual rows on 2-16 vertices after random strips, and a block's worth
-    of bicliques of them, each listed as the search lists a child: a side a
-    plus some of N(b), b side b plus some of the common neighbourhood."""
-    n = draw(st.integers(2, 16))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.6:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    for _ in range(rng.randrange(4)):
-        side = [rng.randrange(3) for _ in range(n)]
-        rows = list(_strip(rows, mask_of(v for v in range(n) if side[v] == 1),
-                           mask_of(v for v in range(n) if side[v] == 2)))
+def random_sibling_block(seed: int):
+    """Residual rows on 2-16 vertices, and a block's worth of bicliques of
+    them, each listed as the search lists a child: a side a plus some of
+    N(b), b side b plus some of the common neighbourhood.
+
+    The rows are G(n, 0.6) after random strips, the same with isolated
+    vertices or with twin rows (equal neighbourhoods), or a complete
+    bipartite graph; the last three give singular parent matrices.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 16)
+    kind = rng.choice(["gnp", "isolated", "twins", "complete-bipartite"])
+    if kind == "complete-bipartite":
+        left = mask_of(v for v in range(n) if rng.random() < 0.5)
+        right = ((1 << n) - 1) & ~left
+        rows = [right if (left >> v) & 1 else left for v in range(n)]
+    else:
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.6:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        for _ in range(rng.randrange(4)):
+            side = [rng.randrange(3) for _ in range(n)]
+            rows = list(_strip(rows, mask_of(v for v in range(n) if side[v] == 1),
+                               mask_of(v for v in range(n) if side[v] == 2)))
+        for _ in range(0 if kind == "gnp" else rng.randint(1, max(1, n // 3))):
+            x, y = rng.sample(range(n), 2)
+            for u in iter_bits(rows[y]):  # y loses its edges ...
+                rows[u] &= ~(1 << y)
+            rows[y] = 0
+            if kind == "twins":  # ... and takes x's neighbours, which y is not
+                rows[y] = rows[x]
+                for u in iter_bits(rows[x]):
+                    rows[u] |= 1 << y
     edges = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if u < v]
     if not edges:
         rows[0] |= 2
@@ -94,6 +123,38 @@ def sibling_blocks(draw):
         b_mask = (1 << b) | mask_of(v for v in iter_bits(common) if rng.random() < 0.3)
         sides.append((a_mask, b_mask))
     return tuple(rows), n, sides
+
+
+@st.composite
+def sibling_blocks(draw):
+    return random_sibling_block(draw(st.integers(0, 2**32 - 1)))
+
+
+def children_by_subsets(rows, parts, a, b, min_side):
+    """The search's child listing before the a-side walk: every subset of
+    N(b) - a as side A, each with its own common-neighbourhood scan."""
+    candidates = []
+    for sub_a in _submasks(rows[b] & ~(1 << a)):
+        a_mask = sub_a | (1 << a)
+        if a_mask.bit_count() < min_side:
+            continue
+        pool_b = _common_mask(rows, rows[a], sub_a) & ~(1 << b)
+        for sub_b in _submasks(pool_b):
+            b_mask = sub_b | (1 << b)
+            if b_mask.bit_count() < min_side:
+                continue
+            edges = a_mask.bit_count() * b_mask.bit_count()
+            candidates.append((-edges, a_mask, b_mask, rows, parts, None))
+    candidates.sort(reverse=True)
+    return candidates
+
+
+def update_rank(rows, n, a_mask, b_mask) -> int:
+    """rank W0 of a child in _update_bounds: the rank its side indicators add
+    to the parent matrix, as the parent's range is orthogonal to its null space."""
+    m = np.array([[(row >> v) & 1 for v in range(n)] for row in rows])
+    sides = np.array([[(a_mask >> v) & 1, (b_mask >> v) & 1] for v in range(n)])
+    return np.linalg.matrix_rank(np.hstack((m, sides))) - np.linalg.matrix_rank(m)
 
 
 def parts(*pairs):
@@ -584,7 +645,8 @@ class TestPartitionNumber:
             assert (res.value, res.status, res.nodes) == (1, EXACT, 2)
         assert calls == [16]
 
-    @given(sibling_blocks(), st.sampled_from([1, 2, 17, partition_module._BOUND_BLOCK]))
+    @given(sibling_blocks(), st.sampled_from([1, 2, partition_module._UPDATE_MIN, 17,
+                                              partition_module._BOUND_BLOCK]))
     @settings(max_examples=120, deadline=None)
     def test_block_bounds_match_one_child_at_a_time(self, case, size):
         rows, n, sides = case
@@ -593,19 +655,74 @@ class TestPartitionNumber:
             _gp_bound(_strip(rows, a, b), n) for a, b in sides
         ]
 
+    def test_update_reads_children_of_every_rank(self):
+        # _update_bounds reads n+- of the 2 x 2 part R by the rank of W0,
+        # the children's side indicators on the parent's null space; a fixed
+        # seeded set of blocks holds children of all three ranks.
+        ranks = set()
+        for seed in range(40):
+            rows, n, sides = random_sibling_block(seed)
+            ranks.update(update_rank(rows, n, a, b) for a, b in sides)
+            assert partition_module._child_bounds(rows, n, sides) == [
+                _gp_bound(_strip(rows, a, b), n) for a, b in sides
+            ]
+        assert ranks == {0, 1, 2}
+
+    @pytest.mark.parametrize("band", ["_CHILD_CLEAR", "_PARENT_CLEAR"])
+    def test_update_falls_back_to_the_direct_solve(self, monkeypatch, band):
+        # No quantity of these blocks falls in a band, so each band is
+        # widened until many do: a widened child band leaves some children
+        # of a block to the direct solve, a widened parent band whole blocks.
+        monkeypatch.setattr(partition_module, band, 0.5)
+        real = partition_module._gp_bounds
+        left: list[int] = []
+        monkeypatch.setattr(partition_module, "_gp_bounds", lambda m: left.append(len(m)) or real(m))
+        shares = set()
+        for seed in range(40):
+            rows, n, sides = random_sibling_block(seed)
+            left.clear()
+            assert partition_module._child_bounds(rows, n, sides) == [
+                _gp_bound(_strip(rows, a, b), n) for a, b in sides
+            ]
+            shares.add("none" if not left else "all" if left == [len(sides)] else "some")
+        assert shares == ({"none", "some"} if band == "_CHILD_CLEAR" else {"none", "all"})
+
+    @given(sibling_blocks(), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_lists_the_children_of_the_subset_loop(self, case, min_side):
+        rows, n, _ = case
+        degree = [row.bit_count() for row in rows]
+        edges = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if degree[u] + degree[v] <= 14]
+        for a, b in edges[:6]:
+            for x, y in ((a, b), (b, a)):
+                assert partition_module._children(rows, (), x, y, min_side) == children_by_subsets(
+                    rows, (), x, y, min_side)
+
     def test_blocks_are_capped_and_solve_each_child_once(self, monkeypatch):
         blocks = []
-        real = partition_module._gp_bounds
-        monkeypatch.setattr(partition_module, "_gp_bounds", lambda m: blocks.append(len(m)) or real(m))
+        real = partition_module._child_bounds
+        monkeypatch.setattr(partition_module, "_child_bounds",
+                            lambda rows, n, sides: blocks.append(len(sides)) or real(rows, n, sides))
         nodes = 0
         for s in range(6):
             res = partition_number_exact(sample_gnp(GnpSpec(12, 0.5, 140_000 + s)))
             assert res.status == EXACT
             nodes += res.nodes
-        # A sibling whose bound a block already holds is not solved again,
-        # so the matrices solved number about the nodes, not a block per node.
+        # A sibling whose bound a block already holds is not bounded again,
+        # so the children bounded number about the nodes, not a block per node.
         assert max(blocks) == partition_module._BOUND_BLOCK
         assert sum(blocks) < 2 * nodes
+
+    def test_budget_zero_ends_exact_when_the_incumbent_meets_the_root_bound(self):
+        # The star incumbent of K_{1,5} is one part, the root's bound, so the
+        # search is exact before its budget is spent; it visits the root only,
+        # as at any budget.
+        for budget in (0, 1):
+            res = partition_number_exact(Graph.complete_bipartite(1, 5), budget=budget)
+            assert (res.value, res.status, res.lower_bound, res.nodes) == (1, EXACT, 1, 1)
+        # Two stars against a bound of one: the budget runs out unproven.
+        res = partition_number_exact(Graph.complete_bipartite(2, 2), budget=0)
+        assert (res.value, res.status, res.lower_bound) == (2, LOWER_BOUND_ONLY, 1)
 
 
 class TestStrongPartitionNumber:
@@ -754,7 +871,7 @@ def test_search_node_totals(solve, nodes, exact):
 
 
 @pytest.mark.parametrize("solve", [partition_number_exact, strong_partition_number_exact])
-@pytest.mark.parametrize("budget", [1, 50, 5000])
+@pytest.mark.parametrize("budget", [0, 1, 50, 5000])
 def test_value_at_the_inertia_bound_is_exact(solve, budget):
     # No partition has fewer parts than the Graham-Pollak bound, so a result
     # that meets it is proven optimal, whatever budget was left.
