@@ -1,11 +1,14 @@
-"""Record, or compare against the record, every partition solve of a fixed G(n, p) grid.
+"""Record, or compare against the record, every partition solve of two fixed G(n, p) sets.
 
 Run from the repository root:
 
     PYTHONPATH=src:tests python tests/make_solver_results.py [--write]
 
 The grid is tau and tau' on G(n, p) for n = 3-16, p = .2/.4/.6/.8 and
-seeds 1-3, at node budgets 0, 1, 50 and 2,000: 1,344 solves, a few
+seeds 1-3, at node budgets 0, 1, 50 and 2,000: 1,344 solves.  The sized
+set follows the exact-small bench sizes: tau for n = 10-14 and tau' for
+n = 9-12, at p = .3/.5/.7 and seeds 1-2, at budget 5,000: 54 solves, the
+deep tau' searches among them that hold an incumbent.  Both take a few
 seconds.  Per solve the file keeps the sha256 of ``solve_result_to_json``
 without ``nodes`` (value, status, lower bound and witness), the status in
 the clear, and the node count apart.  So a change that only moves node
@@ -13,9 +16,10 @@ counts shows as node changes and not as result changes.
 
 Without ``--write`` the script prints how the current code differs from
 tests/data/solver_results.json: result changes, status flips among them,
-and node increases and decreases.  ``--write`` re-records the file; do it
-only when results change on purpose, and name each changed solve.
-test_partition.py fails on any difference from the file.
+node increases and decreases, and the node total of each solver, recorded
+-> current.  ``--write`` re-records the file; do it only when results
+change on purpose, and name each changed solve.  test_partition.py fails
+on any difference from the file.
 """
 
 from __future__ import annotations
@@ -34,19 +38,28 @@ COLUMNS = ["solver", "n", "p", "seed", "budget", "status", "sha256", "nodes"]
 SOLVERS = {"tau": partition_number_exact, "tau_strong": strong_partition_number_exact}
 GRID = [(n, p, seed) for n in range(3, 17) for p in (0.2, 0.4, 0.6, 0.8) for seed in (1, 2, 3)]
 BUDGETS = (0, 1, 50, 2000)
+SIZED_BUDGET = 5000
+SIZED = [
+    (name, n, p, seed, SIZED_BUDGET)
+    for name, sizes in (("tau", range(10, 15)), ("tau_strong", range(9, 13)))
+    for n in sizes for p in (0.3, 0.5, 0.7) for seed in (1, 2)
+]
+
+
+def solves() -> list[tuple[str, int, float, int, int]]:
+    """(solver, n, p, seed, budget) of every solve: the grid, then the sized set."""
+    grid = [(name, n, p, seed, budget) for n, p, seed in GRID for name in SOLVERS for budget in BUDGETS]
+    return grid + SIZED
 
 
 def solve_rows() -> list[list]:
-    """One row per solve of the grid, in the order of ``COLUMNS``."""
+    """One row per solve, in the order of ``COLUMNS``."""
     rows = []
-    for n, p, seed in GRID:
-        g = sample_gnp(GnpSpec(n, p, seed))
-        for name, solve in SOLVERS.items():
-            for budget in BUDGETS:
-                result = solve_result_to_json(solve(g, budget=budget))
-                nodes = result.pop("nodes")
-                digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
-                rows.append([name, n, p, seed, budget, result["status"], digest, nodes])
+    for name, n, p, seed, budget in solves():
+        result = solve_result_to_json(SOLVERS[name](sample_gnp(GnpSpec(n, p, seed)), budget=budget))
+        nodes = result.pop("nodes")
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        rows.append([name, n, p, seed, budget, result["status"], digest, nodes])
     return rows
 
 
@@ -58,7 +71,7 @@ def differences(old: list[list], new: list[list]) -> dict[str, list[str]]:
     """Solves whose result changed (status flips named apart) and whose node
     count rose or fell, each as "solver n p seed budget: old -> new"."""
     if [row[:5] for row in old] != [row[:5] for row in new]:
-        raise ValueError("the recorded grid is not the grid this script solves")
+        raise ValueError("the recorded solves are not the solves this script makes")
     found: dict[str, list[str]] = {"result": [], "status": [], "nodes up": [], "nodes down": []}
     for before, after in zip(old, new):
         key = " ".join(map(str, before[:5]))
@@ -72,13 +85,30 @@ def differences(old: list[list], new: list[list]) -> dict[str, list[str]]:
     return found
 
 
+def node_totals(old: list[list], new: list[list]) -> list[str]:
+    """Per solver, the node totals of the grid and of the sized set, recorded -> current."""
+    lines = []
+    for name in SOLVERS:
+        for part, sized in (("grid", False), ("sized", True)):
+            before, after = (sum(row[7] for row in rows if row[0] == name and (row[4] == SIZED_BUDGET) == sized)
+                             for rows in (old, new))
+            lines.append(f"{name:<10} {part:<5} {before:>9,} -> {after:>9,}")
+    return lines
+
+
 def main() -> None:
     new = solve_rows()
-    if OUT.exists():
-        for kind, lines in differences(recorded_rows(), new).items():
+    old = recorded_rows() if OUT.exists() else []
+    if [row[:5] for row in old] != [row[:5] for row in new]:
+        print("the record holds other solves than this script makes; nothing to compare")
+    else:
+        for kind, lines in differences(old, new).items():
             print(f"{kind}: {len(lines)}")
             for line in lines:
                 print(f"  {line}")
+        print("node totals, recorded -> current:")
+        for line in node_totals(old, new):
+            print(f"  {line}")
     if "--write" in sys.argv[1:]:
         lines = ",\n".join(json.dumps(row) for row in new)
         head = json.dumps({"command": COMMAND, "columns": COLUMNS})[:-1]
