@@ -404,12 +404,12 @@ def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
     go to the lexicographically first.  None when some edge lies on no 4-cycle.
 
     Edge uv lies on |N(x) & N(u) - {v}| such cycles for each x in N(v) - {u},
-    so the one edge of a vertex of degree 1 lies on none.  The bit loops are
-    ``iter_bits`` written out, as this scan runs at every node of the
-    star-free search.
+    so the one edge of a vertex of degree 1 lies on none.  An edge's count
+    stops once it reaches the least count so far: a stopped count is at least
+    that count, itself at least 1, so the edge would neither win nor be on no
+    4-cycle.  The bit loops are ``iter_bits`` written out, as this scan runs
+    at every star-free node that its bound does not prune.
     """
-    if 1 in map(int.bit_count, rows):
-        return None
     best_count, best = INFINITY, None
     for u, row in enumerate(rows):
         upper = row >> (u + 1) << (u + 1)
@@ -420,7 +420,7 @@ def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
             fourth = row ^ low
             xs = rows[v] & ~(1 << u)
             count = 0
-            while xs:
+            while xs and count < best_count:
                 bit = xs & -xs
                 xs ^= bit
                 count += (rows[bit.bit_length() - 1] & fourth).bit_count()
@@ -554,9 +554,24 @@ def _children(
     A's common neighbourhood less b: one row operation per step.  A branch
     whose common neighbourhood has fewer than ``min_side`` - 1 vertices is
     cut, as no A that grows from it has a B side of ``min_side``.
+
+    With ``min_side`` 2 a child born with a vertex of degree 1 gets the
+    bound INFINITY: that vertex's one edge lies in no star-free biclique, so
+    no star-free partition completes the child.  The star-free search lists
+    children only at nodes with no vertex of degree 1 (the 4-cycle scan
+    found an edge), and stripping A x B lowers only the degrees of A and B,
+    by |B| and |A|.  So the child has a vertex of degree 1 exactly when some
+    x in A has degree |B| + 1 or some y in B has degree |A| + 1, read from
+    the masks of the vertices of each degree.  Every other child's bound is
+    None, not yet computed.
     """
     b_bit = 1 << b
     children = []
+    star_free = min_side > 1
+    if star_free:
+        by_degree = [0] * (len(rows) + 1)  # by_degree[d]: the vertices of degree d
+        for v, row in enumerate(rows):
+            by_degree[row.bit_count()] |= 1 << v
     # (side A, |A|, A's common neighbourhood less b, the vertices A may still add)
     walk = [(1 << a, 1, rows[a] & ~b_bit, rows[b] & ~(1 << a))]
     while walk:
@@ -565,7 +580,11 @@ def _children(
             for sub_b in _submasks(pool_b):
                 b_size = sub_b.bit_count() + 1
                 if b_size >= min_side:
-                    children.append((-a_size * b_size, a_mask, sub_b | b_bit, rows, parts, None))
+                    b_mask = sub_b | b_bit
+                    bound = None
+                    if star_free and (a_mask & by_degree[b_size + 1] or b_mask & by_degree[a_size + 1]):
+                        bound = INFINITY
+                    children.append((-a_size * b_size, a_mask, b_mask, rows, parts, bound))
         while rest:
             low = rest & -rest
             rest ^= low
@@ -622,9 +641,9 @@ def _solve_partition_number(
     only by a leaf with fewer parts.  So value, witness and lower bound are
     the full search's, and only the node count is lower.  No other bound is
     computed while no partition is known: with ``best_value`` INFINITY,
-    depth + bound >= ``best_value`` cannot hold.  The plain variant starts
-    from a star incumbent, so this skips bounds of the star-free search
-    only.
+    depth + bound >= ``best_value`` cannot hold for a finite bound.  The
+    plain variant starts from a star incumbent, so this skips bounds of the
+    star-free search only.
 
     With ``min_side`` 2 the 4-cycle scan runs before the eigen-solve and
     doubles as a dead test over every uncovered edge, not just the one
@@ -633,19 +652,31 @@ def _solve_partition_number(
     completed and is left without its eigen-solve.  The node is already
     counted, and the edge it would branch on is then one with no child, so
     node counts and results are those of a search that computed its bound.
+    A child born with a vertex of degree 1, whose one edge lies on no
+    4-cycle, is known dead when it is listed: ``_children`` gives it the
+    bound INFINITY, which prunes it at its pop with or without an incumbent.
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
-    then its parent's rows and parts, then its bound, None until computed.
-    The child's part is stripped off the parent's rows only when the entry
-    is popped, so siblings share one tuple of rows and the stack holds little
-    more than the candidate lists.  Each candidate list is sorted in reverse
-    before it is pushed, so children pop largest part first.
+    then its parent's rows and parts, then its bound: None until computed,
+    INFINITY for a dead child.  A popped entry whose bound is known is
+    pruned when depth + bound >= ``best_value``, before its part is stripped
+    off the parent's rows; any other is stripped at its pop, so siblings
+    share one tuple of rows and the stack holds little more than the
+    candidate lists.  A node cut before its strip is cut after it too: a
+    leaf's bound is 0, so it is cut only when it has no fewer parts than
+    ``best_value``; any other node's bound is at least 1, as a nonzero
+    symmetric matrix has a nonzero eigenvalue, so it meets the depth test
+    or the bound prune; and a dead child's 4-cycle scan finds its vertex of
+    degree 1.  The node is counted first, so node counts do not change.
+    Each candidate list is sorted in reverse before it is pushed, so
+    children pop largest part first.
 
     A popped node that needs its bound and has none gets it in a block, one
-    call of ``_child_bounds`` for the node and the siblings directly below it
-    on the stack, the entries with the same parent rows, at most
-    ``_BOUND_BLOCK`` children in all.  A block of ``_UPDATE_MIN`` or more
+    call of ``_child_bounds`` for the node and the unbounded siblings
+    directly below it on the stack, the entries with the same parent rows,
+    at most ``_BOUND_BLOCK`` children in all; dead siblings, whose INFINITY
+    is already known, are passed over.  A block of ``_UPDATE_MIN`` or more
     is bounded from one eigendecomposition of the parent, each child by a
     2 x 2 Schur complement (Haynsworth's inertia additivity); a child or
     parent with a quantity near zero, and a smaller block, fall back to one
@@ -671,15 +702,16 @@ def _solve_partition_number(
     stack = [(0, 0, 0, g.adj, (), root_bound)]
     while stack:
         _, a_mask, b_mask, parent, parts, bound = stack.pop()
-        rows = parent
-        if a_mask:
-            rows = _strip(parent, a_mask, b_mask)
-            parts += ((a_mask, b_mask),)
         nodes += 1
         if nodes > budget:
             status = EXACT if best_value <= root_bound else LOWER_BOUND_ONLY
             return SolveResult(best_value, witness, status, root_bound, nodes)
+        if a_mask:
+            parts += ((a_mask, b_mask),)
         depth = len(parts)
+        if bound is not None and depth + bound >= best_value:
+            continue  # a bound known at birth or from a sibling block prunes before the strip
+        rows = _strip(parent, a_mask, b_mask) if a_mask else parent
         if not any(rows):  # every edge is covered
             if depth < best_value:
                 best_value = depth
@@ -693,17 +725,19 @@ def _solve_partition_number(
             edge = _fewest_four_cycles(rows)
             if edge is None:
                 continue  # an edge lies on no 4-cycle: no partition completes
-        if best_value < INFINITY:  # no bound prunes before an incumbent exists
-            if bound is None:
-                # This child and the siblings directly below it, in one solve.
-                sides = [(a_mask, b_mask)]
-                low = len(stack)
-                while low and len(sides) < _BOUND_BLOCK and stack[low - 1][3] is parent:
-                    low -= 1
-                    sides.append(stack[low][1:3])
-                bound, *below = _child_bounds(parent, n, sides)
-                for i, sibling_bound in zip(range(len(stack) - 1, low - 1, -1), below):
-                    stack[i] = stack[i][:5] + (sibling_bound,)
+        if bound is None and best_value < INFINITY:  # no bound prunes before an incumbent exists
+            # This child and the unbounded siblings directly below it, in one solve.
+            sides = [(a_mask, b_mask)]
+            below = []
+            i = len(stack)
+            while i and len(sides) < _BOUND_BLOCK and stack[i - 1][3] is parent:
+                i -= 1
+                if stack[i][5] is None:
+                    below.append(i)
+                    sides.append(stack[i][1:3])
+            bound, *bounds = _child_bounds(parent, n, sides)
+            for i, sibling_bound in zip(below, bounds):
+                stack[i] = stack[i][:5] + (sibling_bound,)
             if depth + bound >= best_value:
                 continue
         a, b = edge if min_side > 1 else _least_degree_sum(rows)

@@ -11,8 +11,7 @@ call, and the whole-graph bound is a stack of one.  The exact partition
 search makes the other call: ``partition._update_bounds`` decomposes a
 node's matrix once (``numpy.linalg.eigh``) and reads the inertia of its
 children from that.  The children it cannot read, and small blocks, go to
-``_gp_bounds``, which is also the reference its tests compare against.  A
-``Graph`` is read from ``Graph.packed``.
+``_gp_bounds``.  A ``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -88,11 +87,6 @@ def _gp_bounds(matrices: np.ndarray) -> list[int]:
     n_plus = np.count_nonzero(eigenvalues > tol, axis=-1)
     n_minus = np.count_nonzero(eigenvalues < -tol, axis=-1)
     return np.maximum(n_plus, n_minus).tolist()
-
-
-def _gp_bound(rows: Sequence[int], n: int) -> int:
-    """max(n+, n-) of the graph given by bitmask rows, at the default tolerance."""
-    return _gp_bounds(_matrix(_packed(rows, n), n)[None])[0]
 
 
 def _signature(packed: np.ndarray, n: int, tol: float | None) -> InertiaSignature:

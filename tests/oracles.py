@@ -11,6 +11,8 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
+import numpy as np
+
 from bipart.graphs import (
     _BEAM_BRANCH,
     _BEAM_SAMPLE,
@@ -148,6 +150,40 @@ def tau_brute(g: Graph, min_side: int = 1) -> int | None:
     if min_side == 1:
         return best[0]
     return best[0]
+
+
+def four_cycle_counts(rows) -> dict[tuple[int, int], int]:
+    """The number of 4-cycles u-v-x-y-u through each edge uv, u < v, of the
+    graph given by bitmask rows: one per edge xy with x a neighbour of v
+    other than u and y a neighbour of u other than v."""
+    n = len(rows)
+    return {
+        (u, v): sum(
+            1 for x in range(n) for y in range(n)
+            if x != u and y != v and rows[v] >> x & 1 and rows[u] >> y & 1 and rows[x] >> y & 1
+        )
+        for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
+    }
+
+
+def fewest_four_cycles_reference(rows) -> tuple[int, int] | None:
+    """Reference for ``bipart.partition._fewest_four_cycles``, from the full
+    counts: None when some edge lies on no 4-cycle; otherwise the edge of
+    least count, ties to the lexicographically first."""
+    counts = four_cycle_counts(rows)
+    if not counts or 0 in counts.values():
+        return None
+    return min(counts, key=lambda edge: (counts[edge], edge))
+
+
+def gp_bound_reference(rows, n: int) -> int:
+    """max(n+, n-) of the graph given by bitmask rows: the eigenvalues of its
+    0/1 adjacency matrix (numpy's ``eigvalsh``) counted beyond 1e-8 * n, the
+    library's default tolerance."""
+    matrix = np.array([[float(rows[u] >> v & 1) for v in range(n)] for u in range(n)]).reshape(n, n)
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    tol = 1e-8 * max(n, 1)
+    return int(max(np.count_nonzero(eigenvalues > tol), np.count_nonzero(eigenvalues < -tol)))
 
 
 def coverage_brute(g: Graph, universe, sets) -> int:

@@ -38,12 +38,15 @@ from bipart.partition import (
     strong_partition_number_exact,
     validate_partition,
 )
-from bipart.spectral import _gp_bound, graham_pollak_lower_bound
+from bipart.spectral import graham_pollak_lower_bound
 
 from conftest import gnp_graphs
 from make_solver_results import differences, recorded_rows, solve_rows
 from oracles import (
     beta_brute,
+    fewest_four_cycles_reference,
+    four_cycle_counts,
+    gp_bound_reference,
     normalize_stars_first_reference,
     tau_brute,
     validate_partition_reference,
@@ -147,6 +150,59 @@ def children_by_subsets(rows, parts, a, b, min_side):
             candidates.append((-edges, a_mask, b_mask, rows, parts, None))
     candidates.sort(reverse=True)
     return candidates
+
+
+def listing_edges(rows) -> list[tuple[int, int]]:
+    """The first six edges (u, v) with deg(u) + deg(v) at most 14, so that
+    each lists a few thousand children at most, each edge both ways round."""
+    degree = [row.bit_count() for row in rows]
+    edges = [(u, v) for u in range(len(rows)) for v in iter_bits(rows[u]) if degree[u] + degree[v] <= 14]
+    return [pair for u, v in edges[:6] for pair in ((u, v), (v, u))]
+
+
+def without_degree_one(rows) -> tuple[int, ...]:
+    """``rows`` less the edge of each vertex of degree 1, repeated until no
+    vertex has degree 1."""
+    rows = list(rows)
+    degrees = [row.bit_count() for row in rows]
+    while 1 in degrees:
+        v = degrees.index(1)
+        u = rows[v].bit_length() - 1
+        rows[u] &= ~(1 << v)
+        rows[v] = 0
+        degrees = [row.bit_count() for row in rows]
+    return tuple(rows)
+
+
+def random_scan_rows(seed: int) -> tuple[int, ...]:
+    """Rows for the 4-cycle scan: G(n, p) on 3-10 vertices, p from .3 to .9,
+    or a complete bipartite graph, whose edges all lie on as many 4-cycles;
+    then, for two seeds in three, a pendant vertex (degree 1) or a triangle
+    on an old vertex and two new ones, whose new edge lies on no 4-cycle
+    while no vertex has degree 1."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 10)
+    if rng.random() < 0.3:
+        left = mask_of(range(rng.randint(1, n - 1)))
+        right = ((1 << n) - 1) & ~left
+        rows = [right if (left >> v) & 1 else left for v in range(n)]
+    else:
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+    v = rng.randrange(n)
+    extra = rng.choice(["none", "pendant", "triangle"])
+    if extra == "pendant":
+        rows[v] |= 1 << n
+        rows.append(1 << v)
+    elif extra == "triangle":
+        rows[v] |= 3 << n
+        rows += [(1 << v) | (2 << n), (1 << v) | (1 << n)]
+    return tuple(rows)
 
 
 def update_rank(rows, n, a_mask, b_mask) -> int:
@@ -652,7 +708,7 @@ class TestPartitionNumber:
         rows, n, sides = case
         sides = sides[:size]
         assert partition_module._child_bounds(rows, n, sides) == [
-            _gp_bound(_strip(rows, a, b), n) for a, b in sides
+            gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
         ]
 
     def test_update_reads_children_of_every_rank(self):
@@ -664,7 +720,7 @@ class TestPartitionNumber:
             rows, n, sides = random_sibling_block(seed)
             ranks.update(update_rank(rows, n, a, b) for a, b in sides)
             assert partition_module._child_bounds(rows, n, sides) == [
-                _gp_bound(_strip(rows, a, b), n) for a, b in sides
+                gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
             ]
         assert ranks == {0, 1, 2}
 
@@ -682,7 +738,7 @@ class TestPartitionNumber:
             rows, n, sides = random_sibling_block(seed)
             left.clear()
             assert partition_module._child_bounds(rows, n, sides) == [
-                _gp_bound(_strip(rows, a, b), n) for a, b in sides
+                gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
             ]
             shares.add("none" if not left else "all" if left == [len(sides)] else "some")
         assert shares == ({"none", "some"} if band == "_CHILD_CLEAR" else {"none", "all"})
@@ -690,13 +746,32 @@ class TestPartitionNumber:
     @given(sibling_blocks(), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_walk_lists_the_children_of_the_subset_loop(self, case, min_side):
-        rows, n, _ = case
-        degree = [row.bit_count() for row in rows]
-        edges = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if degree[u] + degree[v] <= 14]
-        for a, b in edges[:6]:
-            for x, y in ((a, b), (b, a)):
-                assert partition_module._children(rows, (), x, y, min_side) == children_by_subsets(
-                    rows, (), x, y, min_side)
+        # The entries agree up to the bound, and the only bound a child is
+        # born with is the star-free search's INFINITY for a dead child.
+        rows, _, _ = case
+        for a, b in listing_edges(rows):
+            children = partition_module._children(rows, (), a, b, min_side)
+            assert [child[:5] for child in children] == [
+                child[:5] for child in children_by_subsets(rows, (), a, b, min_side)]
+            marks = {child[5] for child in children}
+            assert marks <= ({None} if min_side == 1 else {None, INFINITY})
+
+    @pytest.mark.parametrize("solve, grid", [
+        (partition_number_exact, [(12, 0.5, 140_000 + s) for s in range(6)]),
+        (strong_partition_number_exact, [(n, p, s) for n in (9, 10, 11) for p in (0.3, 0.5, 0.7)
+                                         for s in (1, 2)]),
+    ])
+    def test_known_bounds_prune_before_the_strip(self, monkeypatch, solve, grid):
+        # A child whose bound is known on its stack entry, from a sibling
+        # block (tau) or as a dead child's INFINITY (tau'), is pruned before
+        # its part is stripped.  The root is never stripped, so a search that
+        # stripped every popped child would strip nodes - 1 times per solve.
+        strips = []
+        real = partition_module._strip
+        monkeypatch.setattr(partition_module, "_strip",
+                            lambda rows, a, b: strips.append(a) or real(rows, a, b))
+        results = [solve(sample_gnp(GnpSpec(n, p, seed)), budget=5000) for n, p, seed in grid]
+        assert len(strips) < (sum(r.nodes for r in results) - len(results)) / 2
 
     def test_blocks_are_capped_and_solve_each_child_once(self, monkeypatch):
         blocks = []
@@ -787,6 +862,53 @@ class TestStrongPartitionNumber:
                     res = strong_partition_number_exact(g)
                     assert res.status == EXACT
                     assert res.value == (INFINITY if brute is None else brute), (n, p, s)
+
+    @given(st.integers(0, 2**32 - 1).map(random_scan_rows))
+    @settings(max_examples=150, deadline=None)
+    def test_four_cycle_scan_matches_the_full_count(self, rows):
+        assert partition_module._fewest_four_cycles(rows) == fewest_four_cycles_reference(rows)
+
+    def test_scan_rows_hold_every_case_of_the_scan(self):
+        # The scan's early exits: a vertex of degree 1, an edge on no
+        # 4-cycle at a node with no vertex of degree 1, and an edge whose
+        # count stops at a tie with the least count so far.
+        cases = set()
+        for seed in range(100):
+            rows = random_scan_rows(seed)
+            counts = four_cycle_counts(rows)
+            if 1 in map(int.bit_count, rows):
+                cases.add("degree 1")
+            elif 0 in counts.values():
+                cases.add("no 4-cycle")
+            elif list(counts.values()).count(min(counts.values())) > 1:
+                cases.add("tie")
+        assert cases == {"degree 1", "no 4-cycle", "tie"}
+
+    @given(sibling_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_dead_marks_have_a_vertex_of_degree_one(self, case):
+        # A child born with the bound INFINITY has a vertex of degree 1 once
+        # its part is stripped, so no star-free partition completes it.
+        rows, _, _ = case
+        for a, b in listing_edges(rows):
+            for _, a_mask, b_mask, _, _, bound in partition_module._children(rows, (), a, b, 2):
+                if bound is not None:
+                    assert bound == INFINITY
+                    assert 1 in map(int.bit_count, _strip(rows, a_mask, b_mask))
+
+    def test_dead_marks_are_complete_without_a_vertex_of_degree_one(self):
+        # The search lists children only at nodes with no vertex of degree 1;
+        # there every child born with one is marked.
+        marked = unmarked = 0
+        for seed in range(40):
+            rows = without_degree_one(random_sibling_block(seed)[0])
+            for a, b in listing_edges(rows):
+                for _, a_mask, b_mask, _, _, bound in partition_module._children(rows, (), a, b, 2):
+                    dead = 1 in map(int.bit_count, _strip(rows, a_mask, b_mask))
+                    assert bound == (INFINITY if dead else None)
+                    marked += dead
+                    unmarked += not dead
+        assert marked and unmarked
 
     def test_dead_end_costs_no_eigen_solve(self, monkeypatch):
         # A 4-cycle and a triangle: a triangle edge lies on no 4-cycle, so

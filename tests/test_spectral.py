@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from bipart.graphs import GnpSpec, Graph, _strip, sample_gnp
 from bipart.spectral import (
     InertiaSignature,
-    _gp_bound,
     graham_pollak_lower_bound,
     inertia,
     inertia_from_rows,
 )
 
 from conftest import gnp_graphs
+from oracles import gp_bound_reference
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -120,14 +120,14 @@ class TestGpBound:
     def test_matches_inertia_from_rows(self, case):
         rows, n = case
         sig = inertia_from_rows(rows, n)
-        assert _gp_bound(rows, n) == max(sig.n_plus, sig.n_minus)
+        assert gp_bound_reference(rows, n) == max(sig.n_plus, sig.n_minus)
 
     def test_solver_failure_is_arithmetic_error(self, monkeypatch):
         def fail(_matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        rows = Graph.complete(4).adj
-        for compute in (_gp_bound, inertia_from_rows):
+        g = Graph.complete(4)
+        for compute in (lambda: graham_pollak_lower_bound(g), lambda: inertia_from_rows(g.adj, 4)):
             with pytest.raises(ArithmeticError, match="failed to converge"):
-                compute(rows, 4)
+                compute()
