@@ -90,8 +90,9 @@ def node_totals(old: list[list], new: list[list]) -> list[str]:
     lines = []
     for name in SOLVERS:
         for part, sized in (("grid", False), ("sized", True)):
-            before, after = (sum(row[7] for row in rows if row[0] == name and (row[4] == SIZED_BUDGET) == sized)
-                             for rows in (old, new))
+            before, after = (
+                sum(row[7] for row in rows if row[0] == name and (row[4] == SIZED_BUDGET) == sized)
+                for rows in (old, new))
             lines.append(f"{name:<10} {part:<5} {before:>9,} -> {after:>9,}")
     return lines
 
@@ -99,10 +100,12 @@ def node_totals(old: list[list], new: list[list]) -> list[str]:
 def main() -> None:
     new = solve_rows()
     old = recorded_rows() if OUT.exists() else []
-    if [row[:5] for row in old] != [row[:5] for row in new]:
-        print("the record holds other solves than this script makes; nothing to compare")
+    try:
+        found = differences(old, new)
+    except ValueError as exc:
+        print(f"{exc}; nothing to compare")
     else:
-        for kind, lines in differences(old, new).items():
+        for kind, lines in found.items():
             print(f"{kind}: {len(lines)}")
             for line in lines:
                 print(f"  {line}")
