@@ -1,4 +1,4 @@
-"""Record, or compare against the record, every partition solve of two fixed G(n, p) sets.
+"""Record, or compare against the record, every partition solve of three fixed G(n, p) sets.
 
 Run from the repository root:
 
@@ -8,8 +8,12 @@ The grid is tau and tau' on G(n, p) for n = 3-16, p = .2/.4/.6/.8 and
 seeds 1-3, at node budgets 0, 1, 50 and 2,000: 1,344 solves.  The sized
 set follows the exact-small bench sizes: tau for n = 10-14 and tau' for
 n = 9-12, at p = .3/.5/.7 and seeds 1-2, at budget 5,000: 54 solves, the
-deep tau' searches among them that hold an incumbent.  Both take a few
-seconds.  Per solve the file keeps the sha256 of ``solve_result_to_json``
+deep tau' searches among them that hold an incumbent.  The exact-small
+set is the bench workload's own 216 solver instances, drawn as
+bench/workloads.py draws them: tau and tau' over the cells of its "full"
+sizes, one Random per pool seed, at its budget of 5,000.  Each set takes a
+few seconds, and the script prints the seconds each took in this run; the
+times stay out of the file, so that it is byte-stable.  Per solve the file keeps the sha256 of ``solve_result_to_json``
 without ``nodes`` (value, status, lower bound and witness), the status in
 the clear, and the node count apart.  So a change that only moves node
 counts shows as node changes and not as result changes.
@@ -26,11 +30,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
+import time
 from pathlib import Path
 
 from bipart.graphs import GnpSpec, sample_gnp
 from bipart.partition import partition_number_exact, solve_result_to_json, strong_partition_number_exact
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import SIZES, pool_seeds  # noqa: E402
 
 COMMAND = "PYTHONPATH=src:tests python tests/make_solver_results.py --write"
 OUT = Path(__file__).parent / "data" / "solver_results.json"
@@ -46,20 +55,39 @@ SIZED = [
 ]
 
 
-def solves() -> list[tuple[str, int, float, int, int]]:
-    """(solver, n, p, seed, budget) of every solve: the grid, then the sized set."""
+def exact_small() -> list[tuple[str, int, float, int, int]]:
+    """The solver instances of the exact-small bench workload, in its draw order."""
+    sizes = SIZES["full"]["exact-small"]
+    found = []
+    for pool_seed in pool_seeds("exact-small", "full", 4):
+        rng = random.Random(pool_seed)
+        for name, ns in (("tau", sizes["tau_n"]), ("tau_strong", sizes["taup_n"])):
+            for n in ns:
+                for p in sizes["p"]:
+                    for _ in range(sizes["per_cell"]):
+                        found.append((name, n, p, rng.getrandbits(64), sizes["budget"]))
+    return found
+
+
+def solve_groups() -> dict[str, list[tuple[str, int, float, int, int]]]:
+    """(solver, n, p, seed, budget) of every solve, per set, in the order recorded."""
     grid = [(name, n, p, seed, budget) for n, p, seed in GRID for name in SOLVERS for budget in BUDGETS]
-    return grid + SIZED
+    return {"grid": grid, "sized": SIZED, "exact-small": exact_small()}
 
 
-def solve_rows() -> list[list]:
-    """One row per solve, in the order of ``COLUMNS``."""
+def solve_rows(seconds: dict[str, float] | None = None) -> list[list]:
+    """One row per solve, in the order of ``COLUMNS``; ``seconds``, when
+    given, gets the in-process time of each set."""
     rows = []
-    for name, n, p, seed, budget in solves():
-        result = solve_result_to_json(SOLVERS[name](sample_gnp(GnpSpec(n, p, seed)), budget=budget))
-        nodes = result.pop("nodes")
-        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
-        rows.append([name, n, p, seed, budget, result["status"], digest, nodes])
+    for group, solves in solve_groups().items():
+        start = time.perf_counter()
+        for name, n, p, seed, budget in solves:
+            result = solve_result_to_json(SOLVERS[name](sample_gnp(GnpSpec(n, p, seed)), budget=budget))
+            nodes = result.pop("nodes")
+            digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+            rows.append([name, n, p, seed, budget, result["status"], digest, nodes])
+        if seconds is not None:
+            seconds[group] = time.perf_counter() - start
     return rows
 
 
@@ -86,19 +114,22 @@ def differences(old: list[list], new: list[list]) -> dict[str, list[str]]:
 
 
 def node_totals(old: list[list], new: list[list]) -> list[str]:
-    """Per solver, the node totals of the grid and of the sized set, recorded -> current."""
+    """Per solver, the node totals of each set, recorded -> current."""
     lines = []
-    for name in SOLVERS:
-        for part, sized in (("grid", False), ("sized", True)):
-            before, after = (
-                sum(row[7] for row in rows if row[0] == name and (row[4] == SIZED_BUDGET) == sized)
-                for rows in (old, new))
-            lines.append(f"{name:<10} {part:<5} {before:>9,} -> {after:>9,}")
+    start = 0
+    for group, solves in solve_groups().items():
+        end = start + len(solves)
+        for name in SOLVERS:
+            before, after = (sum(row[7] for row in rows[start:end] if row[0] == name) for rows in (old, new))
+            lines.append(f"{name:<10} {group:<11} {before:>9,} -> {after:>9,}")
+        start = end
     return lines
 
 
 def main() -> None:
-    new = solve_rows()
+    seconds: dict[str, float] = {}
+    new = solve_rows(seconds)
+    print("seconds per set, this run: " + ", ".join(f"{group} {s:.2f}" for group, s in seconds.items()))
     old = recorded_rows() if OUT.exists() else []
     try:
         found = differences(old, new)

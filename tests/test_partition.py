@@ -1005,10 +1005,11 @@ def test_value_at_the_inertia_bound_is_exact(solve, budget):
 
 
 def test_solver_results_match_the_record():
-    # 1,344 tau and tau' solves of seeded G(n, p) at four budgets, and 54 at
-    # the exact-small bench sizes at budget 5,000, against
-    # tests/data/solver_results.json: results and node counts are checked
-    # apart.  Run tests/make_solver_results.py to list the differences.
+    # 1,344 tau and tau' solves of seeded G(n, p) at four budgets, 54 at the
+    # exact-small bench sizes and the exact-small workload's own 216, both at
+    # budget 5,000, against tests/data/solver_results.json: results and node
+    # counts are checked apart.  Run tests/make_solver_results.py to list the
+    # differences.
     found = differences(recorded_rows(), solve_rows())
     assert not any(found.values()), {kind: lines[:10] for kind, lines in found.items() if lines}
 
