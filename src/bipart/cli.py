@@ -109,7 +109,10 @@ def exact(graph_path: str, mode: str, budget: int) -> None:
     """Solve the bipartition number (or its star-free variant) exactly."""
     g = _load_graph(graph_path)
     solver = partition_number_exact if mode == "tau" else strong_partition_number_exact
-    result = solver(g, budget)
+    try:
+        result = solver(g, budget)
+    except ValueError as exc:  # the star-free search refuses graphs with too many 4-cycles
+        raise click.UsageError(str(exc))
     payload = {"mode": mode, "n": g.n, "m": g.m}
     payload.update(solve_result_to_json(result))
     click.echo(json.dumps(payload, indent=2))

@@ -399,35 +399,110 @@ def _least_degree_sum(rows: tuple[int, ...]) -> tuple[int, int]:
     return best
 
 
-def _fewest_four_cycles(rows: tuple[int, ...]) -> tuple[int, int] | None:
-    """The edge (u, v), u < v, of ``rows`` on the fewest 4-cycles u-v-x-y-u; ties
-    go to the lexicographically first.  None when some edge lies on no 4-cycle.
+# The most 4-cycles a star-free search tabulates (see _cycle_table), whose
+# memory grows as edges x 4-cycles.  The graphs the tests and the bench solve
+# have at most 2,267 (G(16, 0.8)); G(60, 0.5) has about 80,000, and its table
+# takes about 6 MB.
+_MAX_FOUR_CYCLES = 1 << 16
 
-    Edge uv lies on |N(x) & N(u) - {v}| such cycles for each x in N(v) - {u},
-    so the one edge of a vertex of degree 1 lies on none.  An edge's count
-    stops once it reaches the least count so far: a stopped count is at least
-    that count, itself at least 1, so the edge would neither win nor be on no
-    4-cycle.  The bit loops are ``iter_bits`` written out, as this scan runs
-    at every star-free node that its bound does not prune.
-    """
-    best_count, best = INFINITY, None
+
+def _four_cycle_count(rows: tuple[int, ...]) -> int:
+    """The number of 4-cycles of ``rows``, in O(n^2) row operations: each
+    4-cycle u-x-w-y-u has the two diagonals uw and xy, and a pair u, w spans
+    C(|N(u) & N(w)|, 2) 4-cycles as a diagonal."""
+    total = 0
     for u, row in enumerate(rows):
-        upper = row >> (u + 1) << (u + 1)
-        while upper:
-            low = upper & -upper
-            upper ^= low
-            v = low.bit_length() - 1
-            fourth = row ^ low
-            xs = rows[v] & ~(1 << u)
-            count = 0
-            while xs and count < best_count:
-                bit = xs & -xs
-                xs ^= bit
-                count += (rows[bit.bit_length() - 1] & fourth).bit_count()
-            if not count:
-                return None
-            if count < best_count:
-                best_count, best = count, (u, v)
+        for other in rows[u + 1:]:
+            common = (row & other).bit_count()
+            total += common * (common - 1)
+    return total // 4
+
+
+def _cycle_table(rows: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[dict[int, int]], list[int]]:
+    """The 4-cycle table of a star-free search's root: its edges (u, v), u < v,
+    in lexicographic order; the index of each edge, ``index[u][v]`` and
+    ``index[v][u]``; and per edge an int mask over the root's 4-cycles, bit k
+    set iff 4-cycle k passes through the edge.
+
+    4-cycle k is listed once, by its least vertex u, the vertex w opposite
+    u, and u's neighbours x < y on the cycle, both in N(u) & N(w) and so
+    above u.  The 4-cycles of one pair u < w are numbered in a block, by
+    the pairs (x, y) of those c common neighbours in lexicographic order.
+    Which bits of a block hold the i-th neighbour depends on c alone, so
+    each edge ux and wx takes its block's bits in one shifted OR.
+    """
+    edges = [(u, v) for u, row in enumerate(rows) for v in iter_bits(row >> (u + 1) << (u + 1))]
+    index: list[dict[int, int]] = [{} for _ in rows]
+    for e, (u, v) in enumerate(edges):
+        index[u][v] = index[v][u] = e
+    cycles = [0] * len(edges)
+    block_bits: dict[int, list[int]] = {}  # c -> per neighbour i, its bits in a block of C(c, 2)
+    first = 0  # the number of the block's first 4-cycle
+    for u, row in enumerate(rows):
+        above, at_u = row >> (u + 1) << (u + 1), index[u]
+        for w in range(u + 1, len(rows)):
+            common = above & rows[w]
+            c = common.bit_count()
+            if c < 2:
+                continue
+            if c not in block_bits:
+                through, bit = [0] * c, 1
+                for i in range(c):
+                    for j in range(i + 1, c):
+                        through[i] |= bit
+                        through[j] |= bit
+                        bit <<= 1
+                block_bits[c] = through
+            at_w = index[w]
+            for x, bits in zip(iter_bits(common), block_bits[c]):
+                bits <<= first
+                cycles[at_u[x]] |= bits
+                cycles[at_w[x]] |= bits
+            first += c * (c - 1) // 2
+    return edges, index, cycles
+
+
+def _strip_cycles(table: tuple, alive: int, resid: int, a_mask: int, b_mask: int) -> tuple[int, int]:
+    """The alive 4-cycles and residual edges of a node, as masks over
+    ``table``'s 4-cycles and edges, after its part A x B is stripped: each
+    stripped edge leaves ``resid``, and every 4-cycle through it dies.  The
+    inner bit loop is ``iter_bits`` written out, as this runs at every
+    star-free node that reaches the 4-cycle scan."""
+    _, index, cycles = table
+    killed = gone = 0
+    for x in iter_bits(a_mask):
+        at_x = index[x]
+        ys = b_mask
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            e = at_x[low.bit_length() - 1]
+            killed |= cycles[e]
+            gone |= 1 << e
+    return alive & ~killed, resid & ~gone
+
+
+def _fewest_alive_cycles(table: tuple, alive: int, resid: int) -> tuple[int, int] | None:
+    """The residual edge (u, v), u < v, on the fewest alive 4-cycles; ties go
+    to the lexicographically first.  None when some residual edge lies on no
+    alive 4-cycle, or when no edge is left.
+
+    A 4-cycle of the residual graph is a 4-cycle of the root whose four
+    edges are all residual, so the alive 4-cycles through an edge are
+    exactly its 4-cycles in the residual graph.  Edges are numbered in
+    lexicographic order, so ``resid`` is walked in ascending bit order.
+    """
+    edges, _, cycles = table
+    best_count, best = INFINITY, None
+    while resid:
+        low = resid & -resid
+        resid ^= low
+        e = low.bit_length() - 1
+        count = (alive & cycles[e]).bit_count()
+        if not count:
+            return None
+        if count < best_count:
+            best_count, best = count, edges[e]
     return best
 
 
@@ -542,11 +617,13 @@ def _child_bounds(rows: tuple[int, ...], n: int, sides: list[tuple[int, int]]) -
 
 
 def _children(
-    rows: tuple[int, ...], parts: tuple[tuple[int, int], ...], a: int, b: int, min_side: int
+    node: tuple[tuple[int, ...], int, int], parts: tuple[tuple[int, int], ...], a: int, b: int,
+    min_side: int,
 ) -> list[tuple]:
-    """The stack entries of the bicliques of ``rows`` through edge ab with both
-    sides of at least ``min_side`` vertices, sorted in reverse, so that they
-    pop largest part first.
+    """The stack entries of the bicliques of a node's rows through edge ab
+    with both sides of at least ``min_side`` vertices, sorted in reverse, so
+    that they pop largest part first.  ``node`` is (rows, alive 4-cycles,
+    residual edges), the parent of every entry.
 
     Side A is a plus a subset of N(b) - a, and side B is b plus a subset of
     the common neighbourhood of A.  A walk grows A one vertex of N(b) - a at
@@ -565,6 +642,7 @@ def _children(
     the masks of the vertices of each degree.  Every other child's bound is
     None, not yet computed.
     """
+    rows = node[0]
     b_bit = 1 << b
     children = []
     star_free = min_side > 1
@@ -584,7 +662,7 @@ def _children(
                     bound = None
                     if star_free and (a_mask & by_degree[b_size + 1] or b_mask & by_degree[a_size + 1]):
                         bound = INFINITY
-                    children.append((-a_size * b_size, a_mask, b_mask, rows, parts, bound))
+                    children.append((-a_size * b_size, a_mask, b_mask, node, parts, bound))
         while rest:
             low = rest & -rest
             rest ^= low
@@ -619,8 +697,8 @@ def _solve_partition_number(
       which bounds the candidates by 2^(deg a + deg b - 2).  It is picked
       only at nodes that pass both prunes below, so the nodes the
       eigen-solve kills pay nothing for it;
-    - star-free (``min_side`` 2): the fewest 4-cycles a-b-x-y-a, the sum
-      over x in N(b) - {a} of |N(x) & N(a) - {b}|.
+    - star-free (``min_side`` 2): the fewest 4-cycles a-b-x-y-a of the
+      residual graph.
 
     Nodes are pruned when parts so far plus the inertia bound of the
     remaining graph cannot beat the incumbent.  The prune is sound by
@@ -652,17 +730,33 @@ def _solve_partition_number(
     completed and is left without its eigen-solve.  The node is already
     counted, and the edge it would branch on is then one with no child, so
     node counts and results are those of a search that computed its bound.
+
+    The scan reads a table built once per solve: the root's edges in
+    lexicographic order, and per edge an int mask over the root's 4-cycles
+    through it (``_cycle_table``).  A node carries two masks over the table,
+    its alive 4-cycles and its residual edges.  A 4-cycle of the residual
+    graph is a 4-cycle of the root none of whose edges was stripped, so a
+    node that reaches the scan updates its parent's masks by its own part
+    only: every stripped A x B edge leaves the residual mask, and each
+    4-cycle through one dies (``_strip_cycles``).  An edge's count is then
+    the popcount of its mask and the alive mask, and the residual mask is
+    walked in ascending bit order, which is lexicographic edge order; so
+    the scan picks the edge, and finds the dead nodes, that a count from the
+    residual rows would (``_fewest_alive_cycles``).  The table holds edges x
+    4-cycles bits, so ``strong_partition_number_exact`` refuses a graph with
+    more than ``_MAX_FOUR_CYCLES`` 4-cycles, counted from co-degrees first.
     A child born with a vertex of degree 1, whose one edge lies on no
     4-cycle, is known dead when it is listed: ``_children`` gives it the
     bound INFINITY, which prunes it at its pop with or without an incumbent.
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
-    then its parent's rows and parts, then its bound: None until computed,
+    then its parent node (rows and the two masks; the plain search's masks
+    are 0) and its parent's parts, then its bound: None until computed,
     INFINITY for a dead child.  A popped entry whose bound is known is
     pruned when depth + bound >= ``best_value``, before its part is stripped
     off the parent's rows; any other is stripped at its pop, so siblings
-    share one tuple of rows and the stack holds little more than the
+    share one parent node and the stack holds little more than the
     candidate lists.  A node cut before its strip is cut after it too: a
     leaf's bound is 0, so it is cut only when it has no fewer parts than
     ``best_value``; any other node's bound is at least 1, as a nonzero
@@ -674,7 +768,7 @@ def _solve_partition_number(
 
     A popped node that needs its bound and has none gets it in a block, one
     call of ``_child_bounds`` for the node and the unbounded siblings
-    directly below it on the stack, the entries with the same parent rows,
+    directly below it on the stack, the entries with the same parent node,
     at most ``_BOUND_BLOCK`` children in all; dead siblings, whose INFINITY
     is already known, are passed over.  A block of ``_UPDATE_MIN`` or more
     is bounded from one eigendecomposition of the parent, each child by a
@@ -697,9 +791,15 @@ def _solve_partition_number(
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
     witness = incumbent
     nodes = 0
-    # (-edges, a side, b side, parent rows, parent parts, bound or None); the
-    # root entry adds no part and carries the root's bound.
-    stack = [(0, 0, 0, g.adj, (), root_bound)]
+    alive = resid = 0
+    if min_side > 1:
+        table = _cycle_table(g.adj)
+        # Each 4-cycle has four edges.
+        alive, resid = (1 << sum(map(int.bit_count, table[2])) // 4) - 1, (1 << len(table[0])) - 1
+    # (-edges, a side, b side, parent node, parent parts, bound or None), a
+    # node being (rows, alive 4-cycles, residual edges); the root entry adds
+    # no part and carries the root's bound.
+    stack = [(0, 0, 0, (g.adj, alive, resid), (), root_bound)]
     while stack:
         _, a_mask, b_mask, parent, parts, bound = stack.pop()
         nodes += 1
@@ -711,7 +811,9 @@ def _solve_partition_number(
         depth = len(parts)
         if bound is not None and depth + bound >= best_value:
             continue  # a bound known at birth or from a sibling block prunes before the strip
-        rows = _strip(parent, a_mask, b_mask) if a_mask else parent
+        rows, alive, resid = parent
+        if a_mask:
+            rows = _strip(rows, a_mask, b_mask)
         if not any(rows):  # every edge is covered
             if depth < best_value:
                 best_value = depth
@@ -722,7 +824,9 @@ def _solve_partition_number(
         if depth + 1 >= best_value:
             continue  # at least one more part is needed
         if min_side > 1:
-            edge = _fewest_four_cycles(rows)
+            if a_mask:
+                alive, resid = _strip_cycles(table, alive, resid, a_mask, b_mask)
+            edge = _fewest_alive_cycles(table, alive, resid)
             if edge is None:
                 continue  # an edge lies on no 4-cycle: no partition completes
         if bound is None and best_value < INFINITY:  # no bound prunes before an incumbent exists
@@ -735,13 +839,13 @@ def _solve_partition_number(
                 if stack[i][5] is None:
                     below.append(i)
                     sides.append(stack[i][1:3])
-            bound, *bounds = _child_bounds(parent, n, sides)
+            bound, *bounds = _child_bounds(parent[0], n, sides)
             for i, sibling_bound in zip(below, bounds):
                 stack[i] = stack[i][:5] + (sibling_bound,)
             if depth + bound >= best_value:
                 continue
         a, b = edge if min_side > 1 else _least_degree_sum(rows)
-        stack += _children(rows, parts, a, b, min_side)
+        stack += _children((rows, alive, resid), parts, a, b, min_side)
 
     return SolveResult(best_value, witness, EXACT, best_value, nodes)
 
@@ -767,11 +871,21 @@ def strong_partition_number_exact(g: Graph, budget: int = 5_000_000) -> SolveRes
     witness, since a lone edge admits no star-free partition).  When the
     search space is exhausted without a partition the value is INFINITY with
     status "exact", certifying infeasibility.
+
+    The search tabulates the graph's 4-cycles at its root, in memory that
+    grows as edges x 4-cycles, so a graph with more than ``_MAX_FOUR_CYCLES``
+    (65,536) 4-cycles is refused with ValueError before any search.  K_{24,24}
+    has 76,176 and G(60, 0.5) about 80,000; a graph on 12 vertices has at
+    most K_12's 1,485.
     """
     if g.n <= 2:
         return SolveResult(0, None, EXACT, 0, 0)
     if g.m == 0:
         return SolveResult(0, BicliquePartition(g, ()), EXACT, 0, 0)
+    cycles = _four_cycle_count(g.adj)
+    if cycles > _MAX_FOUR_CYCLES:
+        raise ValueError(f"star-free search refused for more than {_MAX_FOUR_CYCLES} 4-cycles "
+                         f"(this graph has {cycles})")
     return _solve_partition_number(g, 2, budget, None)
 
 

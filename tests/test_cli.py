@@ -106,6 +106,15 @@ class TestExact:
         payload = json.loads(result.output)
         assert payload["value"] == "infinity" and payload["witness"] is None
 
+    def test_tauprime_refusal_is_usage_error(self, runner, tmp_path):
+        # K_{24,24} has C(24, 2)^2 = 76,176 4-cycles, above the star-free
+        # search's cap, so it is refused before any search.
+        path = write_graph(tmp_path / "k24.txt", Graph.complete_bipartite(24, 24))
+        result = runner.invoke(main, ["exact", "--graph", path, "--mode", "tauprime"])
+        assert result.exit_code == 2
+        assert "refused for more than 65536 4-cycles (this graph has 76176)" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestCoverage:
     @pytest.fixture

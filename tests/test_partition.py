@@ -133,9 +133,10 @@ def sibling_blocks(draw):
     return random_sibling_block(draw(st.integers(0, 2**32 - 1)))
 
 
-def children_by_subsets(rows, parts, a, b, min_side):
+def children_by_subsets(node, parts, a, b, min_side):
     """The search's child listing before the a-side walk: every subset of
     N(b) - a as side A, each with its own common-neighbourhood scan."""
+    rows = node[0]
     candidates = []
     for sub_a in _submasks(rows[b] & ~(1 << a)):
         a_mask = sub_a | (1 << a)
@@ -147,9 +148,35 @@ def children_by_subsets(rows, parts, a, b, min_side):
             if b_mask.bit_count() < min_side:
                 continue
             edges = a_mask.bit_count() * b_mask.bit_count()
-            candidates.append((-edges, a_mask, b_mask, rows, parts, None))
+            candidates.append((-edges, a_mask, b_mask, node, parts, None))
     candidates.sort(reverse=True)
     return candidates
+
+
+def root_masks(table) -> tuple[int, int]:
+    """The alive 4-cycles and residual edges of a cycle table's root: every
+    4-cycle through some edge, and every edge."""
+    edges, _, cycles = table
+    alive = 0
+    for mask in cycles:
+        alive |= mask
+    return alive, (1 << len(edges)) - 1
+
+
+def table_counts(table, alive, resid) -> dict[tuple[int, int], int]:
+    """Per residual edge (u, v) of a cycle table, its alive 4-cycles."""
+    edges, _, cycles = table
+    return {edges[e]: (alive & cycles[e]).bit_count() for e in iter_bits(resid)}
+
+
+def random_part(rows, rng: random.Random) -> tuple[int, int]:
+    """A random biclique of ``rows`` through a random edge ab: a plus some of
+    N(b) as side A, b plus some of A's common neighbourhood as side B."""
+    a = rng.choice([v for v, row in enumerate(rows) if row])
+    b = rng.choice(list(iter_bits(rows[a])))
+    a_mask = 1 << a | mask_of(v for v in iter_bits(rows[b] & ~(1 << a)) if rng.random() < 0.4)
+    pool = _common_mask(rows, (1 << len(rows)) - 1, a_mask) & ~(1 << b)
+    return a_mask, 1 << b | mask_of(v for v in iter_bits(pool) if rng.random() < 0.4)
 
 
 def listing_edges(rows) -> list[tuple[int, int]]:
@@ -749,10 +776,11 @@ class TestPartitionNumber:
         # The entries agree up to the bound, and the only bound a child is
         # born with is the star-free search's INFINITY for a dead child.
         rows, _, _ = case
+        node = (rows, 0, 0)
         for a, b in listing_edges(rows):
-            children = partition_module._children(rows, (), a, b, min_side)
+            children = partition_module._children(node, (), a, b, min_side)
             assert [child[:5] for child in children] == [
-                child[:5] for child in children_by_subsets(rows, (), a, b, min_side)]
+                child[:5] for child in children_by_subsets(node, (), a, b, min_side)]
             marks = {child[5] for child in children}
             assert marks <= ({None} if min_side == 1 else {None, INFINITY})
 
@@ -866,7 +894,62 @@ class TestStrongPartitionNumber:
     @given(st.integers(0, 2**32 - 1).map(random_scan_rows))
     @settings(max_examples=150, deadline=None)
     def test_four_cycle_scan_matches_the_full_count(self, rows):
-        assert partition_module._fewest_four_cycles(rows) == fewest_four_cycles_reference(rows)
+        table = partition_module._cycle_table(rows)
+        assert partition_module._fewest_alive_cycles(table, *root_masks(table)) == (
+            fewest_four_cycles_reference(rows))
+
+    @given(st.integers(0, 2**32 - 1).map(random_scan_rows))
+    @settings(max_examples=150, deadline=None)
+    def test_cycle_table_counts_every_edge(self, rows):
+        table = partition_module._cycle_table(rows)
+        assert table_counts(table, *root_masks(table)) == four_cycle_counts(rows)
+        assert partition_module._four_cycle_count(rows) == sum(table_counts(table, *root_masks(table)).values()) // 4
+
+    @pytest.mark.parametrize("left, right", [(1, 4), (2, 2), (2, 5), (3, 3), (4, 6)])
+    def test_cycle_table_of_complete_bipartite_rows(self, left, right):
+        # Every edge of K_{s,t} lies on (s - 1)(t - 1) 4-cycles, and the
+        # graph has C(s, 2) C(t, 2).
+        rows = tuple(Graph.complete_bipartite(left, right).adj)
+        table = partition_module._cycle_table(rows)
+        counts = table_counts(table, *root_masks(table))
+        assert counts == four_cycle_counts(rows)
+        assert set(counts.values()) == {(left - 1) * (right - 1)}
+        assert partition_module._four_cycle_count(rows) == math.comb(left, 2) * math.comb(right, 2)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_carried_masks_match_the_stripped_rows(self, seed):
+        # Masks carried through a chain of strips read what the scan of the
+        # stripped rows reads: per residual edge its 4-cycles, and the edge
+        # of fewest.
+        rng = random.Random(seed)
+        rows = random_scan_rows(seed)
+        table = partition_module._cycle_table(rows)
+        alive, resid = root_masks(table)
+        assert partition_module._four_cycle_count(rows) == alive.bit_count()
+        while any(rows):
+            a_mask, b_mask = random_part(rows, rng)
+            rows = _strip(rows, a_mask, b_mask)
+            alive, resid = partition_module._strip_cycles(table, alive, resid, a_mask, b_mask)
+            assert table_counts(table, alive, resid) == four_cycle_counts(rows)
+            if any(rows):
+                assert partition_module._fewest_alive_cycles(table, alive, resid) == (
+                    fewest_four_cycles_reference(rows))
+        assert (alive, resid) == (0, 0)
+
+    def test_four_cycle_cap_refuses_before_any_table(self, monkeypatch):
+        # K_4 has three 4-cycles: refused above a cap of two, before any
+        # table is built, and solved at a cap of three.
+        def no_table(rows):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(partition_module, "_MAX_FOUR_CYCLES", 2)
+        monkeypatch.setattr(partition_module, "_cycle_table", no_table)
+        with pytest.raises(ValueError, match="refused for more than 2 4-cycles"):
+            strong_partition_number_exact(Graph.complete(4))
+        monkeypatch.undo()
+        monkeypatch.setattr(partition_module, "_MAX_FOUR_CYCLES", 3)
+        assert strong_partition_number_exact(Graph.complete(4)).value == INFINITY
 
     def test_scan_rows_hold_every_case_of_the_scan(self):
         # The scan's early exits: a vertex of degree 1, an edge on no
@@ -891,7 +974,7 @@ class TestStrongPartitionNumber:
         # its part is stripped, so no star-free partition completes it.
         rows, _, _ = case
         for a, b in listing_edges(rows):
-            for _, a_mask, b_mask, _, _, bound in partition_module._children(rows, (), a, b, 2):
+            for _, a_mask, b_mask, _, _, bound in partition_module._children((rows, 0, 0), (), a, b, 2):
                 if bound is not None:
                     assert bound == INFINITY
                     assert 1 in map(int.bit_count, _strip(rows, a_mask, b_mask))
@@ -903,7 +986,7 @@ class TestStrongPartitionNumber:
         for seed in range(40):
             rows = without_degree_one(random_sibling_block(seed)[0])
             for a, b in listing_edges(rows):
-                for _, a_mask, b_mask, _, _, bound in partition_module._children(rows, (), a, b, 2):
+                for _, a_mask, b_mask, _, _, bound in partition_module._children((rows, 0, 0), (), a, b, 2):
                     dead = 1 in map(int.bit_count, _strip(rows, a_mask, b_mask))
                     assert bound == (INFINITY if dead else None)
                     marked += dead
