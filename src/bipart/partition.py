@@ -730,6 +730,9 @@ def _solve_partition_number(
     completed and is left without its eigen-solve.  The node is already
     counted, and the edge it would branch on is then one with no child, so
     node counts and results are those of a search that computed its bound.
+    A child born with a vertex of degree 1, whose one edge lies on no
+    4-cycle, is known dead when it is listed: ``_children`` gives it the
+    bound INFINITY, which prunes it at its pop with or without an incumbent.
 
     The scan reads a table built once per solve: the root's edges in
     lexicographic order, and per edge an int mask over the root's 4-cycles
@@ -745,9 +748,6 @@ def _solve_partition_number(
     residual rows would (``_fewest_alive_cycles``).  The table holds edges x
     4-cycles bits, so ``strong_partition_number_exact`` refuses a graph with
     more than ``_MAX_FOUR_CYCLES`` 4-cycles, counted from co-degrees first.
-    A child born with a vertex of degree 1, whose one edge lies on no
-    4-cycle, is known dead when it is listed: ``_children`` gives it the
-    bound INFINITY, which prunes it at its pop with or without an incumbent.
 
     The search is one loop over an explicit stack, so its depth is not call
     depth.  Each entry is one child: its sort key (-edges, a side, b side),
