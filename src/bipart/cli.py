@@ -157,7 +157,7 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
             }
         elif op == "g":
             s, t = exclusive_split(fam)
-            value = blocked_edge_count(g, fam, s, t)
+            value = blocked_edge_count(g, fam, s)
             payload = {"op": "g", "value": value, "s": s.as_tuple(), "t": t.as_tuple()}
         elif op == "witness":
             pool = universe if w_csv is None else [int(x) for x in w_csv.split(",") if x.strip()]

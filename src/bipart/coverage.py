@@ -381,26 +381,17 @@ def exclusive_split(fam: CoverageFamily) -> tuple[VertexSet, VertexSet]:
     return VertexSet(kept, universe_n), VertexSet(partners, universe_n)
 
 
-def blocked_edge_count(
-    g: Graph,
-    fam: CoverageFamily,
-    s: VertexSet | Iterable[int],
-    t: VertexSet | Iterable[int] = (),
-) -> int:
+def blocked_edge_count(g: Graph, fam: CoverageFamily, s: VertexSet | Iterable[int]) -> int:
     """Edges inside ``s`` that no completion of the 2-set family can cover.
 
     Counts pairs u, v in s with {u, v} an edge while u is not adjacent to
     v's partner and v is not adjacent to u's partner: the guarded-edge rule
     with each vertex's partner as its guard.  Such an edge could only be
     covered via one of the two owning 2-sets, and the missing partner edges
-    rule both out.  ``t`` is accepted for interface symmetry and only
-    validated against s.
+    rule both out.
     """
     s_mask = mask_of(s)
-    t_mask = mask_of(t)
-    if s_mask & t_mask:
-        raise ValueError("s and t must be disjoint")
-    if (s_mask | t_mask | mask_of(fam.universe)) >> g.n:
+    if (s_mask | mask_of(fam.universe)) >> g.n:
         raise ValueError("family or certificate vertices leave the graph")
     once, owner = _ownership(pair for pair in fam.sets if len(pair) == 2)
     unowned = s_mask & ~once
@@ -667,7 +658,7 @@ def uncovered_lower_bound(
     for v in keep:
         partners |= owner[v] ^ (1 << v)
     t = VertexSet(partners, g.n)
-    pair_bound = blocked_edge_count(g, fam2, keep, t) if keep else 0
+    pair_bound = blocked_edge_count(g, fam2, keep) if keep else 0
 
     # Witness certificate over the small tier.  Vertices touched by any set
     # outside the tier are excluded from the pool, so every left side meeting

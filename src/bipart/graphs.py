@@ -428,7 +428,7 @@ def _clique_cover_bound(adj: Sequence[int], pool: int) -> int:
 
 
 def _alpha_branch_and_bound(
-    adj: Sequence[int], pool: int, budget: int, initial_best: tuple[int, int] = (0, 0)
+    adj: Sequence[int], pool: int, budget: int, initial_best: tuple[int, int]
 ) -> tuple[int, int, bool, int]:
     """Include/exclude search on the max-degree vertex with clique-cover pruning.
 

@@ -249,7 +249,7 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
             if res.status == EXACT:
                 rec.tau_exact = int(res.value)
         if n <= cfg.beta_exact_max_n and g.m > 0:
-            beta_part = largest_induced_biclique(g, "exact")
+            beta_part = largest_induced_biclique(g)
             rec.alon_upper = n - (beta_part.a | beta_part.b).bit_count() + 1
         if rec.gp_bound > rec.tau_upper:
             rec.violations.append("gp_bound above n - alpha")

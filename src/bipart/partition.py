@@ -22,7 +22,6 @@ from .graphs import (
     VertexSet,
     _alpha_branch_and_bound,
     _common_mask,
-    _greedy_independent,
     _independent,
     _is_int_list,
     _packed,
@@ -33,7 +32,7 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
-from .spectral import _gp_bounds, _matrix
+from .spectral import _gp_bounds, _matrix, graham_pollak_lower_bound
 from .spectral import inertia_from_rows  # noqa: F401  (bench/tracing.py wraps this name)
 
 __all__ = [
@@ -231,29 +230,18 @@ def star_plus_biclique_decomposition(g: Graph, ab: Biclique) -> BicliquePartitio
 _EXACT_BETA_LIMIT = 18
 
 
-def largest_induced_biclique(
-    g: Graph, effort: str = "exact", budget: int = 200, seed: int = 0
-) -> Biclique | None:
-    """Induced complete bipartite subgraph maximizing |a| + |b|.
+def largest_induced_biclique(g: Graph) -> Biclique | None:
+    """Induced complete bipartite subgraph maximizing |a| + |b|, exactly.
 
-    Exact mode (n <= 18) completes each independent a side, in ascending
+    Refused for n > 18.  Completes each independent a side, in ascending
     preorder, with a maximum independent subset of its common neighborhood
-    from ``_alpha_branch_and_bound``.  Heuristic mode runs seeded
-    alternating growth and returns the best found.  Returns None on
-    edgeless graphs, where no biclique exists at all.
+    from ``_alpha_branch_and_bound``.  Returns None on edgeless graphs,
+    where no biclique exists at all.
     """
-    if effort not in ("exact", "heuristic"):
-        raise ValueError(f"unknown effort {effort!r}")
-    if effort == "exact" and g.n > _EXACT_BETA_LIMIT:
+    if g.n > _EXACT_BETA_LIMIT:
         raise ValueError(f"exact induced-biclique search refused for n > {_EXACT_BETA_LIMIT}")
     if g.m == 0:
         return None
-    if effort == "exact":
-        return _largest_induced_exact(g)
-    return _largest_induced_heuristic(g, budget, seed)
-
-
-def _largest_induced_exact(g: Graph) -> Biclique:
     adj = g.adj
     best_size, best = 0, (0, 0)
     # (a side, its common neighborhood, the higher nonadjacent vertices it may grow by)
@@ -274,27 +262,6 @@ def _largest_induced_exact(g: Graph) -> Biclique:
         for v in reversed(list(iter_bits(cand))):
             new_cn = (cn & adj[v]) if a_mask else adj[v]
             stack.append((a_mask | (1 << v), new_cn, (cand >> (v + 1) << (v + 1)) & ~adj[v]))
-    return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
-
-
-def _largest_induced_heuristic(g: Graph, budget: int, seed: int) -> Biclique:
-    import random as _random
-
-    rng = _random.Random(seed)
-    adj = g.adj
-    edges = list(g.edges())
-    best = None
-    best_size = 0
-    for _ in range(max(1, budget)):
-        u, v = rng.choice(edges)
-        a_mask, b_mask = 1 << u, 1 << v
-        for _ in range(3):
-            b_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, a_mask)))
-            a_mask = _greedy_independent(adj, iter_bits(_common_mask(adj, g.vertex_mask, b_mask)))
-        size = a_mask.bit_count() + b_mask.bit_count()
-        if size > best_size:
-            best_size = size
-            best = (a_mask, b_mask)
     return Biclique.of(VertexSet(best[0], g.n), VertexSet(best[1], g.n))
 
 
@@ -786,7 +753,7 @@ def _solve_partition_number(
     search never needs to bound.
     """
     n = g.n
-    root_bound = _gp_bounds(_matrix(g.packed, n)[None])[0]
+    root_bound = graham_pollak_lower_bound(g)
 
     best_value: int | float = len(incumbent.parts) if incumbent is not None else INFINITY
     witness = incumbent

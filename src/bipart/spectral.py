@@ -7,11 +7,12 @@ eigenvalue solver (LAPACK via numpy), which is backward stable; the
 contract here is the sign counts within a tolerance, not a particular
 algorithm.  ``_eigenvalues`` is this module's one call into the solver.
 It takes a stack of matrices, so ``_gp_bounds`` bounds many matrices in one
-call, and the whole-graph bound is a stack of one.  The exact partition
-search makes the other call: ``partition._update_bounds`` decomposes a
-node's matrix once (``numpy.linalg.eigh``) and reads the inertia of its
-children from that.  The children it cannot read, and small blocks, go to
-``_gp_bounds``.  A ``Graph`` is read from ``Graph.packed``.
+call; ``graham_pollak_lower_bound``, the whole-graph bound and the exact
+partition search's root bound, is a stack of one.  The search makes the
+other call: ``partition._update_bounds`` decomposes a node's matrix once
+(``numpy.linalg.eigh``) and reads the inertia of its children from that.
+The children it cannot read, and small blocks, go to ``_gp_bounds``.  A
+``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations

@@ -207,35 +207,32 @@ class TestBlockedEdgeCount:
         edges = [(0, 1)] + list(extra)
         g = Graph.from_edges(6, edges)
         fam = CoverageFamily.of(range(6), [(0, 2), (1, 3)])
-        s, t = exclusive_split(fam)
-        return g, fam, s, t
+        return g, fam, exclusive_split(fam)[0]
 
     def test_planted_pair(self):
-        g, fam, s, t = self.planted()
-        assert blocked_edge_count(g, fam, s, t) == 1
+        g, fam, s = self.planted()
+        assert blocked_edge_count(g, fam, s) == 1
 
     def test_partner_edge_defeats_pair(self):
-        g, fam, s, t = self.planted(extra=[(1, 2)])
-        assert blocked_edge_count(g, fam, s, t) == 0
+        g, fam, s = self.planted(extra=[(1, 2)])
+        assert blocked_edge_count(g, fam, s) == 0
 
     def test_edgeless_s(self):
         g = Graph.from_edges(6, [(2, 3)])
         fam = CoverageFamily.of(range(6), [(0, 2), (1, 3)])
-        s, t = exclusive_split(fam)
-        assert blocked_edge_count(g, fam, s, t) == 0
+        assert blocked_edge_count(g, fam, exclusive_split(fam)[0]) == 0
 
     def test_unowned_vertex_rejected(self):
         g = Graph.complete(4)
         fam = CoverageFamily.of(range(4), [(0, 1)])
         with pytest.raises(ValueError, match="owned"):
-            blocked_edge_count(g, fam, [2, 3], [])
+            blocked_edge_count(g, fam, [2, 3])
 
     def test_vertices_beyond_graph_rejected(self):
         g = Graph.complete(3)
         fam = CoverageFamily.of(range(6), [(0, 4), (1, 5)])
-        s, t = exclusive_split(fam)
         with pytest.raises(ValueError, match="leave the graph"):
-            blocked_edge_count(g, fam, s, t)
+            blocked_edge_count(g, fam, exclusive_split(fam)[0])
 
     def test_soundness_against_all_maximal_plays(self):
         # Every counted pair stays uncovered in every maximal play.
@@ -247,7 +244,7 @@ class TestBlockedEdgeCount:
             fam = CoverageFamily.of(
                 range(n), [tuple(sorted(rng.sample(range(n), 2))) for _ in range(k)]
             )
-            s_set, t_set = exclusive_split(fam)
+            s_set = exclusive_split(fam)[0]
             partner = {}
             owner = {}
             for pair in fam.sets:
@@ -261,7 +258,7 @@ class TestBlockedEdgeCount:
                     pv = next(iter(set(owner[v][0]) - {v}))
                     if g.has_edge(u, v) and not g.has_edge(u, pv) and not g.has_edge(v, pu):
                         counted.append((u, v) if u < v else (v, u))
-            assert len(counted) == blocked_edge_count(g, fam, keep, t_set)
+            assert len(counted) == blocked_edge_count(g, fam, keep)
             for _, covered in maximal_plays(g, range(n), fam.sets):
                 for e in counted:
                     assert e not in covered, (s, e, fam.sets)

@@ -125,9 +125,7 @@ WITNESS_DIGESTS = {
     "star_decomposition": "2a7b06126903393fcfe5e4b45b90f061af4420138c0eed36b52f70faf18398e1",
     "normalize_stars_first": "ad2b4214f3c4ad9e21e8d7d7d770c4b5eaeba16f32cfebc1623c9366b5860ce9",
     "biclique_exact": "31f2359fed10b27e244f3cacb1e269746218c7c98e6401e04eedda8772e756b4",
-    "biclique_heuristic": "fdd4bd41da38613297e127a43b65daca43eb26056aea5c22a0dc522333030eee",
     "star_plus_exact": "a7fd453cfec28c7bdbd91650e8a3832cb55230bae5e2138e8c0e14916e069aac",
-    "star_plus_heuristic": "c45cc491a978e84157b0c2165d102da342338fa994f6f1e173cc8f06e08350e4",
     "budget_outs": "ef1bb41079efcc67904ba2c3c4dce876fad13d9d025aeeb30436b70efd84a0d4",
 }
 
@@ -143,11 +141,9 @@ def _witness_outputs() -> dict[str, list]:
         stars = star_decomposition(g, independence_number_exact(g).witness)
         out["star_decomposition"].append(partition_to_json(stars))
         out["normalize_stars_first"].append(partition_to_json(normalize_stars_first(g, tau.witness)))
-        for effort in ("exact", "heuristic"):
-            beta = largest_induced_biclique(g, effort=effort, budget=50, seed=seed)
-            out[f"biclique_{effort}"].append(partition_to_json(BicliquePartition(g, (beta,))))
-            mixed = star_plus_biclique_decomposition(g, beta)
-            out[f"star_plus_{effort}"].append(partition_to_json(mixed))
+        beta = largest_induced_biclique(g)
+        out["biclique_exact"].append(partition_to_json(BicliquePartition(g, (beta,))))
+        out["star_plus_exact"].append(partition_to_json(star_plus_biclique_decomposition(g, beta)))
     for n, p, seed in BUDGET_GRAPHS:
         g = sample_gnp(GnpSpec(n, p, seed))
         for budget in (0, 200):
@@ -227,7 +223,7 @@ def _certificate_outputs() -> dict[str, list]:
             fam2 = CoverageFamily.of(universe, pairs)
             s, t = exclusive_split(fam2)
             out["exclusive_split"].append([s.as_tuple(), t.as_tuple()])
-            out["blocked_edge_count"].append(blocked_edge_count(g, fam2, s, t))
+            out["blocked_edge_count"].append(blocked_edge_count(g, fam2, s))
             # Three arbitrary vertices: one not in exactly one 2-set raises.
             probe = rng.sample(universe, 3)
             out["blocked_edge_count"].append(_outcome(blocked_edge_count, g, fam2, probe))

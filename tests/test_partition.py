@@ -17,6 +17,7 @@ from bipart.graphs import (
     _submasks,
     independence_number_exact,
     independent_set_greedy,
+    induced_subgraph,
     iter_bits,
     mask_of,
     sample_gnp,
@@ -55,10 +56,12 @@ from oracles import (
 
 def count_bound_matrices(monkeypatch) -> list[int]:
     """Watch the search's bounds: the list gets the order of each matrix
-    bounded, the root's through _gp_bounds and each child's through
-    _child_bounds, and every block is checked against the cap.  A child that
-    a block hands on to the direct solve is listed once more."""
+    bounded, the root's through graham_pollak_lower_bound and each child's
+    through _child_bounds, and every block is checked against the cap.  A
+    child that a block hands on to the direct solve (_gp_bounds) is listed
+    once more."""
     calls: list[int] = []
+    real_root = partition_module.graham_pollak_lower_bound
     real_solve, real_block = partition_module._gp_bounds, partition_module._child_bounds
 
     def solve(matrices):
@@ -70,6 +73,11 @@ def count_bound_matrices(monkeypatch) -> list[int]:
         calls.extend([n] * len(sides))
         return real_block(rows, n, sides)
 
+    def root(g):
+        calls.append(g.n)
+        return real_root(g)
+
+    monkeypatch.setattr(partition_module, "graham_pollak_lower_bound", root)
     monkeypatch.setattr(partition_module, "_gp_bounds", solve)
     monkeypatch.setattr(partition_module, "_child_bounds", block)
     return calls
@@ -494,13 +502,7 @@ class TestLargestInducedBiclique:
 
     def test_exact_refused_when_large(self):
         with pytest.raises(ValueError, match="refused"):
-            largest_induced_biclique(Graph.empty(19) , "exact")
-
-    @pytest.mark.parametrize("g", [Graph.empty(3), Graph.complete(3), Graph.empty(19)],
-                             ids=["edgeless", "k3", "edgeless-n19"])
-    def test_unknown_effort_rejected(self, g):
-        with pytest.raises(ValueError, match="unknown effort 'bogus'"):
-            largest_induced_biclique(g, effort="bogus")
+            largest_induced_biclique(Graph.empty(19))
 
     def test_matches_brute(self):
         for n in range(2, 11):
@@ -511,14 +513,6 @@ class TestLargestInducedBiclique:
                     got = 0 if b is None else (b.a | b.b).bit_count()
                     assert got == beta_brute(g), (n, p, s)
                     assert b is None or is_induced_biclique(g, b), (n, p, s)
-
-    def test_heuristic_output_is_induced(self):
-        for s in range(20):
-            g = sample_gnp(GnpSpec(25, 0.3, 81_000 + s))
-            if g.m == 0:
-                continue
-            b = largest_induced_biclique(g, "heuristic", budget=50, seed=s)
-            assert is_induced_biclique(g, b)
 
 
 def enumerate_partitions(g, max_parts):
@@ -1100,7 +1094,9 @@ def test_solver_results_match_the_record():
 class TestConstructionValidity:
     def test_500_random_instances(self):
         # Every construction validates, across 500 seeded G(n, p) draws with
-        # n up to 30 and p in {0.2, 0.5}.
+        # n up to 30 and p in {0.2, 0.5}.  The induced biclique is the largest
+        # one on vertices 0..17: induced_subgraph keeps those labels, and a
+        # biclique induced in an induced subgraph is induced in g.
         for s in range(500):
             n = 5 + s % 26  # n in 5..30
             p = 0.2 if s % 2 else 0.5
@@ -1109,9 +1105,9 @@ class TestConstructionValidity:
             stars = star_decomposition(g, ind)
             assert stars.is_valid(), s
             assert len(stars.parts) <= n - len(ind), s
-            if g.m == 0:
+            ab = largest_induced_biclique(induced_subgraph(g, range(min(n, 18)))[0])
+            if ab is None:
                 continue
-            ab = largest_induced_biclique(g, "heuristic", budget=20, seed=s)
             combo = star_plus_biclique_decomposition(g, ab)
             assert combo.is_valid(), s
             assert len(combo.parts) <= n - (ab.a | ab.b).bit_count() + 1, s
