@@ -24,6 +24,7 @@ from bipart.coverage import (
 from bipart.graphs import GnpSpec, Graph, sample_gnp
 
 from conftest import gnp_graphs
+from make_solver_results import coverage_groups, coverage_row, coverage_rows, differences, recorded_rows
 from oracles import coverage_brute, maximal_plays
 
 STAR_5 = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
@@ -107,6 +108,25 @@ class TestMaxCoverageExact:
         play_values = {len(covered) for _, covered in maximal_plays(STAR_5, range(5), STAR_FAMILY.sets)}
         assert min(play_values) < value
         assert max(play_values) == value == 4
+
+
+def test_coverage_results_match_the_record():
+    # The exact-small workload's 40 coverage solves and 180 seeded families
+    # of 1- to 3-sets, duplicates among them, against the "coverage" rows of
+    # tests/data/solver_results.json: the sha256 of (value, order, choices,
+    # covered) and the children stripped are checked apart.  Run
+    # tests/make_solver_results.py to list the differences.
+    found = differences(recorded_rows("coverage"), coverage_rows())
+    assert not any(found.values()), {kind: lines[:10] for kind, lines in found.items() if lines}
+
+
+def test_coverage_child_total():
+    # The children the search strips are deterministic, so their total over
+    # the exact-small workload's 40 coverage solves pins its prunes on any
+    # machine.
+    families = coverage_groups()["exact-small"]
+    assert len(families) == 40
+    assert sum(coverage_row(*family)[-1] for family in families) == 28_742
 
 
 class TestMaxCoverageGreedy:
