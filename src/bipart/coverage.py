@@ -172,20 +172,45 @@ def _maximal_play(
     return total, sides
 
 
+def _distinct_edges(nloc: int, set_masks: Sequence[int], sides) -> int:
+    """Edges of the union of S_i x CN_i over ``sides``' (i, CN_i) pairs,
+    each counted once: both endpoints mark the other."""
+    marked = [0] * nloc
+    for i, cn in sides:
+        for x in iter_bits(set_masks[i]):
+            marked[x] |= cn
+        for y in iter_bits(cn):
+            marked[y] |= set_masks[i]
+    return sum(m.bit_count() for m in marked) // 2
+
+
 def max_coverage_exact(
     g: Graph, universe: VertexSet | Iterable[int], fam: CoverageFamily
 ) -> tuple[int, CoverageTrace]:
     """Exact maximum total coverage over all orders and right-side choices.
 
-    Depth-first branch and bound.  Right-side choices are enumerated only
-    over vertices that can still interact with a not-yet-played set
-    (members of one, or adjacent to a member); all other eligible vertices
-    are always taken, which is never worse now and provably irrelevant
-    later.  A state already expanded with at least as much coverage is
-    skipped, and a node or move that could not beat the best play even if
-    every remaining set took its single-set ceiling is pruned.  The trace
-    is the first optimal play with sets tried in index order and right
-    sides from largest down.  There is no node budget.
+    Depth-first branch and bound.  When set j is played, a vertex y of its
+    current common neighbourhood CN_j stays an open choice only if a set
+    still to play can be affected by the edges from S_j to y: y belongs to
+    such a set, or y lies in the current CN_i of such a set i that shares a
+    member with S_j.  Every other y is always taken.  Its edges have no
+    endpoint in a later set, so none of them is a later set's cross edge
+    and removing them changes no later CN_i: taking y gains |S_j| now and
+    changes nothing after.  A state already expanded with at least as much
+    coverage is skipped.  A node is pruned when its coverage plus the
+    distinct edges of the union of S_i x CN_i over the remaining sets
+    cannot beat the best play (CN_i only shrinks and an edge is covered
+    once, so no continuation covers more), and a move is pruned when it
+    could not win even if every other remaining set took its single-set
+    ceiling.
+
+    The trace is the first optimal play with sets tried in index order and
+    right sides from largest down.  Neither rule changes it.  A right side
+    L that lacks some of the always-taken vertices F comes after L | F,
+    whose subtree scores exactly |S_j| |F - L| more, so L's subtree holds
+    no optimal leaf.  The prunes cut only subtrees that cannot strictly
+    beat the best play so far, which a later leaf must do to replace it.
+    There is no node budget.
 
     Refused above 8 sets or 12 universe vertices; use ``max_coverage_greedy``
     beyond that.
@@ -200,13 +225,6 @@ def max_coverage_exact(
         )
     full = (1 << nloc) - 1
     sizes = [m.bit_count() for m in set_masks]
-    # Influence sphere of each set: its members plus their neighbors in G[U].
-    influence = []
-    for m in set_masks:
-        sphere = m
-        for v in iter_bits(m):
-            sphere |= rows0[v]
-        influence.append(sphere)
 
     # Explicit stack of (sets left, rows, edges covered, play so far as
     # (set, right side) pairs).  Children are pushed in reverse so they pop
@@ -224,7 +242,7 @@ def max_coverage_exact(
             continue
         sides = [(j, _common_mask(rows, full, set_masks[j])) for j in iter_bits(remaining)]
         slack = value + sum(sizes[j] * cn.bit_count() for j, cn in sides) - total
-        if slack <= 0:
+        if slack <= 0 or value + _distinct_edges(nloc, set_masks, sides) <= total:
             continue
         reached[remaining, rows] = value  # expanded states only, so pruning saves memory
         children = []
@@ -232,8 +250,9 @@ def max_coverage_exact(
             rest = remaining ^ (1 << j)
             cap = sizes[j] * cn.bit_count() - slack  # gaining no more than this cannot win
             relevant = 0
-            for i in iter_bits(rest):
-                relevant |= influence[i]
+            for i, cn_i in sides:
+                if i != j:
+                    relevant |= set_masks[i] | (cn_i if set_masks[i] & set_masks[j] else 0)
             undecided = cn & relevant
             base = cn & ~undecided
             for sub in _submasks(undecided):

@@ -358,12 +358,14 @@ def _min_uncovered_over_maximal_plays(g: Graph, fam: CoverageFamily) -> int:
 
 
 def run_coverage_soundness(cfg: ExperimentConfig) -> Report:
-    """Check the uncovered-edge certificates against brute-force truth.
+    """Check the uncovered-edge certificates against ``max_coverage_exact``
+    and the maximal plays.
 
     Per trial: a random family over a tiny G(n, p); the certificate must
-    never exceed the true minimum uncovered count (edges minus the exact
-    coverage maximum), nor the minimum over all maximal plays.  Any
-    counterexample is recorded verbatim and counts as a violation.
+    never exceed the minimum uncovered count that ``max_coverage_exact``
+    gives (edges minus the exact coverage maximum), nor the minimum over
+    all maximal plays.  Any counterexample is recorded verbatim and counts
+    as a violation.
     """
     if cfg.n > 8:
         raise ValueError("coverage soundness runs in the tiny regime (n <= 8)")

@@ -186,12 +186,8 @@ def gp_bound_reference(rows, n: int) -> int:
     return int(max(np.count_nonzero(eigenvalues > tol), np.count_nonzero(eigenvalues < -tol)))
 
 
-def coverage_brute(g: Graph, universe, sets) -> int:
-    """Literal maximum of the sequential coverage game.
-
-    Every order of the sets, every subset of the current common neighborhood
-    at every step.  Exponential; keep the instances tiny.
-    """
+def _coverage_setup(g: Graph, universe, sets):
+    """Rows of G[universe] relabelled to 0..u-1, and the sets' local masks."""
     umask = mask_of(universe)
     verts = list(iter_bits(umask))
     index = {v: i for i, v in enumerate(verts)}
@@ -201,25 +197,42 @@ def coverage_brute(g: Graph, universe, sets) -> int:
         for u in iter_bits(g.adj[v] & umask):
             row |= 1 << index[u]
         rows0.append(row)
-    full = (1 << len(verts)) - 1
-    set_masks = [mask_of(index[v] for v in s) for s in sets]
+    return verts, rows0, [mask_of(index[v] for v in s) for s in sets]
+
+
+def _coverage_moves(rows: list[int], a_mask: int) -> list[tuple[int, list[int]]]:
+    """Each right side inside the current common neighborhood of ``a_mask``,
+    from largest down, with the rows left once its cross edges are taken."""
+    cn = (1 << len(rows)) - 1
+    for v in iter_bits(a_mask):
+        cn &= rows[v]
+    cn &= ~a_mask
+    moves = []
+    for l_mask in _submasks(cn):
+        nrows = list(rows)
+        for x in iter_bits(a_mask):
+            nrows[x] &= ~l_mask
+        for y in iter_bits(l_mask):
+            nrows[y] &= ~a_mask
+        moves.append((l_mask, nrows))
+    return moves
+
+
+def coverage_brute(g: Graph, universe, sets) -> int:
+    """Literal maximum of the sequential coverage game.
+
+    Every order of the sets, every subset of the current common neighborhood
+    at every step.  Exponential; keep the instances tiny.
+    """
+    _, rows0, set_masks = _coverage_setup(g, universe, sets)
 
     def play(order_rest: tuple[int, ...], rows: list[int]) -> int:
         if not order_rest:
             return 0
         j, rest = order_rest[0], order_rest[1:]
         a_mask = set_masks[j]
-        cn = full
-        for v in iter_bits(a_mask):
-            cn &= rows[v]
-        cn &= ~a_mask
         best = 0
-        for l_mask in _submasks(cn):
-            nrows = list(rows)
-            for x in iter_bits(a_mask):
-                nrows[x] &= ~l_mask
-            for y in iter_bits(l_mask):
-                nrows[y] &= ~a_mask
+        for l_mask, nrows in _coverage_moves(rows, a_mask):
             got = a_mask.bit_count() * l_mask.bit_count() + play(rest, nrows)
             if got > best:
                 best = got
@@ -229,6 +242,33 @@ def coverage_brute(g: Graph, universe, sets) -> int:
     for order in permutations(range(len(set_masks))):
         best = max(best, play(tuple(order), list(rows0)))
     return best
+
+
+def coverage_first_play(g: Graph, universe, sets) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The maximum of the coverage game and the first play that reaches it.
+
+    Plays are ordered as a tree: at each step the sets left in index order,
+    then each right side, as a mask over the sorted universe, from largest
+    down.  Every play is scored, and the first one with the maximum is
+    returned as (value, order, right sides in universe labels).
+    Exponential; keep the instances tiny.
+    """
+    verts, rows0, set_masks = _coverage_setup(g, universe, sets)
+
+    def first(remaining: int, rows: list[int]) -> tuple[int, tuple]:
+        if not remaining:
+            return 0, ()
+        top: tuple[int, tuple] | None = None
+        for j in iter_bits(remaining):
+            for l_mask, nrows in _coverage_moves(rows, set_masks[j]):
+                value, play = first(remaining & ~(1 << j), nrows)
+                value += set_masks[j].bit_count() * l_mask.bit_count()
+                if top is None or value > top[0]:
+                    top = value, ((j, l_mask),) + play
+        return top
+
+    value, play = first((1 << len(set_masks)) - 1, list(rows0))
+    return value, tuple(j for j, _ in play), tuple(tuple(verts[i] for i in iter_bits(l)) for _, l in play)
 
 
 def maximal_plays(g: Graph, universe, sets):

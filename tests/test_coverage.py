@@ -24,8 +24,8 @@ from bipart.coverage import (
 from bipart.graphs import GnpSpec, Graph, sample_gnp
 
 from conftest import gnp_graphs
-from make_solver_results import coverage_groups, coverage_row, coverage_rows, differences, recorded_rows
-from oracles import coverage_brute, maximal_plays
+from make_solver_results import coverage_groups, coverage_row, coverage_rows, coverage_solve, differences, recorded_rows
+from oracles import coverage_brute, coverage_first_play, maximal_plays
 
 STAR_5 = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
 STAR_FAMILY = CoverageFamily.of(range(5), [(0, 1), (1, 2), (2, 3)])
@@ -90,7 +90,29 @@ class TestMaxCoverageExact:
             expected = coverage_brute(g, range(n), fam.sets)
             got, trace = max_coverage_exact(g, range(n), fam)
             assert got == expected, (s, fam.sets)
+            assert (got, trace.order, trace.choices) == coverage_first_play(g, range(n), fam.sets), s
             replay_trace(g, range(n), fam, trace)
+
+    @pytest.mark.parametrize("g, sets, value, children", [
+        # Disjoint sets: vertex 4 sees 2 but not 3, so {2, 3} can never use
+        # it and {0, 1} always takes both of its neighbours.
+        (Graph.from_edges(7, [(0, 4), (1, 4), (2, 4), (0, 5), (1, 5), (2, 6), (3, 6)]),
+         [(0, 1), (2, 3)], 6, 3),
+        # A shared member: {0} played first must be free to leave vertex 2,
+        # in the common neighbourhood of {0, 1}, which covers two edges there.
+        (Graph.from_edges(3, [(0, 2), (1, 2)]), [(0,), (0, 1)], 2, 6),
+        (Graph.complete(6), [(1, 3), (1, 3), (1, 4, 5)], 10, 163),
+        # The single-set ceilings sum to 10 over 6 distinct edges.
+        (Graph.complete(4), [(1,), (2,), (0, 1)], 6, 23),
+    ], ids=["disjoint", "shared-member", "duplicates", "shared-edges"])
+    def test_pruning_cases(self, g, sets, value, children):
+        # Each case of the search's two rules against the oracles: the value,
+        # the first optimal play, and the children stripped to find it.
+        fam = CoverageFamily.of(range(g.n), sets)
+        got = coverage_solve(g, range(g.n), fam)
+        assert got[0] == coverage_brute(g, range(g.n), fam.sets) == value
+        assert (got[0], got[1].order, got[1].choices) == coverage_first_play(g, range(g.n), fam.sets)
+        assert got[2] == children
 
     def test_single_set_ceiling(self):
         # Never exceeds the sum of per-set coverages in the untouched graph.
@@ -126,7 +148,7 @@ def test_coverage_child_total():
     # machine.
     families = coverage_groups()["exact-small"]
     assert len(families) == 40
-    assert sum(coverage_row(*family)[-1] for family in families) == 28_742
+    assert sum(coverage_row(*family)[-1] for family in families) == 7_428
 
 
 class TestMaxCoverageGreedy:
