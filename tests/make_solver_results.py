@@ -22,17 +22,18 @@ counts shows as node changes and not as result changes.
 The coverage sets run ``max_coverage_exact``.  The exact-small set is the
 workload's 40 coverage instances, drawn from the same Random after its
 solver graphs.  The coverage grid is k = 1-5 sets over u = 5-10 vertices
-at p = .3/.5/.8 and seeds 1-2: 180 families of 1- to 3-sets, where a
-quarter of the sets repeat an earlier one.  Per solve the file keeps the
-sha256 of (value, order, choices, covered) and, apart from it, the number
-of children the search strips.
+at p = .3/.5/.8 and seeds 1-2: 180 families of 1- to 3-sets, where each
+set after the first repeats an earlier one with probability 1/4.  Per
+solve the file keeps the sha256 of (value, order, choices, covered) and,
+apart from it, the number of children the search strips.
 
 Without ``--write`` the script prints how the current code differs from
 tests/data/solver_results.json: result changes, status flips among them,
-node increases and decreases, and the node total of each solver, recorded
--> current.  ``--write`` re-records the file; do it only when results
-change on purpose, and name each changed solve.  test_partition.py and
-test_coverage.py fail on any difference from the file.
+node increases and decreases, and the node total of each solver and the
+children total of each coverage set, recorded -> current.  ``--write``
+re-records the file; do it only when results change on purpose, and name
+each changed solve.  test_partition.py and test_coverage.py fail on any
+difference from the file.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def exact_small_draws() -> tuple[list[tuple[str, int, float, int, int]], list[tu
 
 
 def grid_family(k: int, u: int, p: float, seed: int) -> tuple:
-    """One family of the coverage grid: 1- to 3-sets, a quarter of them
-    repeating an earlier set, on a graph drawn from the same Random."""
+    """One family of the coverage grid, on a graph drawn from the same
+    Random: 1- to 3-sets, each after the first repeating an earlier one
+    with probability 1/4."""
     rng = random.Random(f"bipart-coverage:{k}:{u}:{p}:{seed}")
     graph_seed = rng.getrandbits(64)
     sets: list[list[int]] = []
@@ -178,9 +180,10 @@ def recorded_rows(key: str = "solves") -> list[list]:
 
 def differences(old: list[list], new: list[list]) -> dict[str, list[str]]:
     """Solves whose result changed (status flips named apart) and whose node
-    count rose or fell, each as "solver n p seed budget: old -> new".  Rows
-    of either kind start with five key columns and end with the result's
-    sha256 and the count; a partition row's status sits between them."""
+    count rose or fell, each as "<key columns>: old -> new".  Rows of either
+    kind start with five key columns (solver n p seed budget, or set k u p
+    seed) and end with the result's sha256 and the count of nodes or
+    children; a partition row's status sits between them."""
     if [row[:5] for row in old] != [row[:5] for row in new]:
         raise ValueError("the recorded solves are not the solves this script makes")
     found: dict[str, list[str]] = {"result": [], "status": [], "nodes up": [], "nodes down": []}

@@ -101,6 +101,8 @@ class TestMaxCoverageExact:
         # A shared member: {0} played first must be free to leave vertex 2,
         # in the common neighbourhood of {0, 1}, which covers two edges there.
         (Graph.from_edges(3, [(0, 2), (1, 2)]), [(0,), (0, 1)], 2, 6),
+        # Duplicate sets share every member, so neither forces a vertex on
+        # the other.
         (Graph.complete(6), [(1, 3), (1, 3), (1, 4, 5)], 10, 163),
         # The single-set ceilings sum to 10 over 6 distinct edges.
         (Graph.complete(4), [(1,), (2,), (0, 1)], 6, 23),
@@ -109,10 +111,10 @@ class TestMaxCoverageExact:
         # Each case of the search's two rules against the oracles: the value,
         # the first optimal play, and the children stripped to find it.
         fam = CoverageFamily.of(range(g.n), sets)
-        got = coverage_solve(g, range(g.n), fam)
-        assert got[0] == coverage_brute(g, range(g.n), fam.sets) == value
-        assert (got[0], got[1].order, got[1].choices) == coverage_first_play(g, range(g.n), fam.sets)
-        assert got[2] == children
+        got, trace, stripped = coverage_solve(g, range(g.n), fam)
+        assert got == coverage_brute(g, range(g.n), fam.sets) == value
+        assert (got, trace.order, trace.choices) == coverage_first_play(g, range(g.n), fam.sets)
+        assert stripped == children
 
     def test_single_set_ceiling(self):
         # Never exceeds the sum of per-set coverages in the untouched graph.
