@@ -151,6 +151,11 @@ def test_criterion_9_alpha_band_desk_check():
     cfg = ExperimentConfig(kind="bounds", n=2000, p=0.5, trials=20, seed=2024)
     report = run_bounds_experiment(cfg)
     assert report.violations == 0
+    # The per-trial Graham-Pollak bounds pin the n = 2000 eigen-solve's counts.
+    assert [r.gp_bound for r in report.records] == [
+        1013, 1014, 1015, 1014, 1013, 1014, 1014, 1013, 1013, 1014,
+        1015, 1014, 1013, 1013, 1014, 1013, 1013, 1014, 1014, 1014,
+    ]
     target = 2 * math.log2(2000)
     mean_alpha = report.aggregates["mean_alpha"]
     assert 0.7 * target <= mean_alpha <= 1.3 * target, (mean_alpha, target)
