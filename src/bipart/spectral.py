@@ -5,14 +5,20 @@ partition E(G) is at least max(n+, n-), the larger count of positive or
 negative adjacency eigenvalues.  Inertia is computed with a symmetric
 eigenvalue solver (LAPACK via numpy), which is backward stable; the
 contract here is the sign counts within a tolerance, not a particular
-algorithm.  ``_eigenvalues`` is this module's one call into the solver.
-It takes a stack of matrices, so ``_gp_bounds`` bounds many matrices in one
-call; ``graham_pollak_lower_bound``, the whole-graph bound and the exact
-partition search's root bound, is a stack of one.  The search makes the
-other call: ``partition._update_bounds`` decomposes a node's matrix once
-(``numpy.linalg.eigh``) and reads the inertia of its children from that.
-The children it cannot read, and small blocks, go to ``_gp_bounds``.  A
-``Graph`` is read from ``Graph.packed``.
+algorithm.  ``_eigenvalues`` is the call into the solver for whole
+matrices.  It takes a stack of matrices, so ``_gp_bounds`` bounds many
+matrices in one call; ``graham_pollak_lower_bound``, the whole-graph bound
+and the exact partition search's root bound, is a stack of one below
+``_SLICE_MIN`` vertices.  From ``_SLICE_MIN`` on it slices the spectrum
+instead (``_sliced_gp_bound``): one half-size ``eigh`` of the leading block
+and one half-size ``eigvalsh`` of a Schur complement per sign.  A guard
+falls back to the whole-matrix solve when the slices' rounding could flip a
+count: a leading eigenvalue within the tolerance of a shift, a Schur
+eigenvalue inside its rounding bound, or a solver that fails to converge.
+The search makes the other call: ``partition._update_bounds`` decomposes a
+node's matrix once (``numpy.linalg.eigh``) and reads the inertia of its
+children from that.  The children it cannot read, and small blocks, go to
+``_gp_bounds``.  A ``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -115,6 +121,78 @@ def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:
     return _signature(g.packed, g.n, tol)
 
 
+# Graphs of fewer vertices skip _sliced_gp_bound.  Its cost, a half-size
+# eigh, three half-size products and two half-size eigvalsh, meets one full
+# eigvalsh at about 750 vertices; from 900 on it is about a quarter lower,
+# which covers the half-size eigh that a graph the guard sends back to the
+# full solve wastes (G(n, 1/2) at n = 600-1200, alternated pairs, 2-core
+# x86-64, numpy 2.4 on one OpenBLAS thread).
+_SLICE_MIN = 1000
+
+
+def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
+    """max(n+, n-) of the graph given by n packed rows at the default
+    tolerance, by spectrum slicing; None when the guard cannot vouch for
+    the counts.
+
+    By Sylvester's law of inertia #{lambda > sigma} = n+(A - sigma I), and by
+    Haynsworth's inertia additivity (Haynsworth 1968) that is
+    n+(A11 - sigma I) + n+(S(sigma)) for the leading block A11 = A[:h, :h],
+    h = n // 2, and its Schur complement
+    S(sigma) = A22 - sigma I - A12^T (A11 - sigma I)^-1 A12.  With
+    A11 = Q L Q^T and W = Q^T A12, S(sigma) = A22 - sigma I - W^T (L - sigma I)^-1 W.
+    So one half-size ``eigh`` and one product serve both shifts: sigma = tol
+    counts n+ and sigma = -tol counts n-, each with one half-size
+    ``eigvalsh``.  The blocks come from the packed rows; the n x n float64
+    matrix is never built.
+
+    The guard returns None, for the whole-matrix solve, when
+
+    - ``eigh`` or ``eigvalsh`` fails to converge;
+    - A11 has an eigenvalue within tol of a shift (|lambda| <= 2 tol), before
+      any product.  A singular A11 (isolated or twin vertices among the first
+      h, K_{m,m} split between its sides) always has one;
+    - S(sigma) has an eigenvalue mu with |mu| <= 64 eps n (sum_k ||w_k||^2 /
+      |lambda_k - sigma| + max |mu| + n), w_k the rows of W: within 64 n
+      units in the last place of the magnitudes that the product, ``eigh``
+      carried through (L - sigma I)^-1, and ``eigvalsh`` combine.
+    """
+    tol = default_tolerance(n)
+    h = n // 2
+    top = _unpacked(packed[:h], n)
+    try:
+        lam, q = np.linalg.eigh(top[:, :h].astype(np.float64))
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(np.abs(lam) <= 2 * tol):
+        return None
+    w = q.T @ top[:, h:].astype(np.float64)
+    del q, top
+    weights = np.einsum("ij,ij->i", w, w)
+    a22 = _unpacked(packed[h:], n)[:, h:].astype(np.float64)
+    diagonal = np.diag_indices(n - h)
+    counts = []
+    for sign in (1, -1):
+        sigma = sign * tol
+        shifted = lam - sigma
+        schur = a22 - w.T @ (w / shifted[:, None])
+        schur[diagonal] -= sigma
+        try:
+            mu = np.linalg.eigvalsh(schur)
+        except np.linalg.LinAlgError:
+            return None
+        rounding = 64 * np.finfo(np.float64).eps * n * (
+            weights @ (1 / np.abs(shifted)) + np.abs(mu).max() + n)
+        if np.any(np.abs(mu) <= rounding):
+            return None
+        counts.append(np.count_nonzero(sign * shifted > 0) + np.count_nonzero(sign * mu > 0))
+    return int(max(counts))
+
+
 def graham_pollak_lower_bound(g: Graph) -> int:
     """max(n+, n-): a lower bound on the size of any biclique edge partition."""
+    if g.n >= _SLICE_MIN:
+        bound = _sliced_gp_bound(g.packed, g.n)
+        if bound is not None:
+            return bound
     return _gp_bounds(_matrix(g.packed, g.n)[None])[0]

@@ -79,6 +79,18 @@ class TestBounds:
         assert json.loads(result.output) == expected
         assert calls == [g.n] * 3
 
+    def test_signature_bound_matches_sliced_bound(self, runner, tmp_path):
+        # Without --tol the bound is read from the full eigvalsh signature; with
+        # it, from graham_pollak_lower_bound, which slices the spectrum here.
+        g = sample_gnp(GnpSpec(spectral._SLICE_MIN, 0.5, 13))
+        path = write_graph(tmp_path / "g.txt", g)
+        bounds = []
+        for extra in ([], ["--tol", "0.5"]):
+            result = runner.invoke(main, ["bounds", "--graph", path, *extra])
+            assert result.exit_code == 0
+            bounds.append(json.loads(result.output)["graham_pollak_lower_bound"])
+        assert bounds[0] == bounds[1] == spectral._sliced_gp_bound(g.packed, g.n)
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, runner, tmp_path, tol):
         path = write_graph(tmp_path / "k5.txt", Graph.complete(5))

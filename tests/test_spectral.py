@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipart import spectral
 from bipart.graphs import GnpSpec, Graph, _strip, sample_gnp
 from bipart.spectral import (
     InertiaSignature,
@@ -126,8 +127,103 @@ class TestGpBound:
         def fail(_matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        small, large = Graph.complete(4), sample_gnp(GnpSpec(48, 0.5, 3))
+        assert bound_and_path(monkeypatch, large) == (gp_bound_reference(large.adj, 48), "sliced")
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        g = Graph.complete(4)
-        for compute in (lambda: graham_pollak_lower_bound(g), lambda: inertia_from_rows(g.adj, 4)):
-            with pytest.raises(ArithmeticError, match="failed to converge"):
-                compute()
+        for g in (small, large):
+            for compute in (lambda: graham_pollak_lower_bound(g), lambda: inertia_from_rows(g.adj, g.n)):
+                with pytest.raises(ArithmeticError, match="failed to converge"):
+                    compute()
+
+    @pytest.mark.parametrize("failing", ["eigh", "eigvalsh"])
+    def test_slice_solver_failure_falls_back(self, monkeypatch, failing):
+        # A half-size solve that fails to converge hands the graph to the full one.
+        real = getattr(np.linalg, failing)
+
+        def fail_on_half(matrix):
+            if matrix.shape[-1] == 24:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(matrix)
+
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        monkeypatch.setattr(np.linalg, failing, fail_on_half)
+        g = sample_gnp(GnpSpec(48, 0.5, 3))
+        path = "full" if failing == "eigh" else "sliced+full"
+        assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, 48), path)
+
+
+def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
+    """graham_pollak_lower_bound(g), and the eigvalsh solves it ran: "sliced"
+    (Schur complements only), "full" (the whole matrix only) or "sliced+full"
+    (a fallback after the Schur complements)."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices):
+        solves.append("full" if matrices.shape[-1] == g.n else "sliced")
+        return eigvalsh(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    bound = graham_pollak_lower_bound(g)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return bound, "+".join(dict.fromkeys(solves))
+
+
+def with_edges_of(g: Graph, v: int, like: int | None) -> Graph:
+    """g with vertex v isolated, or, given ``like``, made a non-adjacent twin of it."""
+    edges = [(a, b) for a, b in g.edges() if v not in (a, b)]
+    if like is not None:
+        edges += [(v, x) for x in range(g.n) if g.adj[like] >> x & 1 and x != v]
+    return Graph.from_edges(g.n, edges)
+
+
+class TestSlicedBound:
+    """The spectrum-sliced bound of graphs at or above ``_SLICE_MIN`` vertices,
+    against the oracle's whole-matrix ``eigvalsh``, and the path it took."""
+
+    def test_seeded_sweep_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        paths = []
+        for i, (n, p) in enumerate((n, p) for n in (32, 57, 96, 151, 260)
+                                   for p in (0.03, 0.1, 0.5, 0.9, 0.97)):
+            g = sample_gnp(GnpSpec(n, p, 70_000 + i))
+            bound, path = bound_and_path(monkeypatch, g)
+            assert bound == gp_bound_reference(g.adj, n), (n, p)
+            paths.append(path)
+        # Sparse draws have isolated vertices and dense ones twins, so a singular
+        # leading block, and fall back before any product; the rest slice.
+        assert paths.count("sliced") >= 10 and paths.count("full") >= 10
+
+    def test_default_constant(self, monkeypatch):
+        g = sample_gnp(GnpSpec(spectral._SLICE_MIN, 0.3, 5))
+        assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, g.n), "sliced")
+
+    @pytest.mark.parametrize("g, path", [
+        (Graph.complete_bipartite(20, 20), "full"),  # singular leading block
+        (Graph.complete_bipartite(13, 27), "full"),
+        (Graph.complete(40), "sliced"),
+        (Graph.empty(40), "full"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 0, None), "full"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, None), "sliced"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, 46), "sliced"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 3, 5), "full"),
+    ], ids=["K20,20", "K13,27", "K40", "empty", "isolated-leading", "isolated-trailing",
+            "twins-trailing", "twins-leading"])
+    def test_structured_graphs(self, monkeypatch, g, path):
+        # A zero eigenvalue of the trailing block's vertices (an isolated or twin
+        # vertex there) is one of S(sigma)'s, exactly -sigma; in the leading block
+        # it makes A11 singular, which falls back before any product.
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        bound, taken = bound_and_path(monkeypatch, g)
+        assert (bound, taken) == (gp_bound_reference(g.adj, g.n), path)
+
+    def test_eigenvalue_near_a_shift_falls_back(self, monkeypatch):
+        # With the tolerance far below rounding, the trailing twins' zero
+        # eigenvalue lies within rounding of both shifts, and so does one of
+        # S(sigma)'s: the guard hands the graph to the whole-matrix solve.
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        monkeypatch.setattr(spectral, "default_tolerance", lambda n: 1e-30)
+        g = with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, 46)
+        sig = inertia(g, tol=1e-30)
+        assert bound_and_path(monkeypatch, g) == (max(sig.n_plus, sig.n_minus), "sliced+full")
