@@ -214,8 +214,8 @@ def run_bounds_experiment(cfg: ExperimentConfig) -> Report:
     it, so ``elapsed`` still spans sampling and the whole body, and the
     worker is shut down before the run returns or raises.  The overlap pays
     only with single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``).  At
-    n = 2000, p = 1/2 the sliced eigen-solve takes less time than the alpha
-    search, so the trial waits on alpha.
+    n = 2000, p = 1/2 the sliced eigen-solve takes no longer than the alpha
+    search, so a trial waits mostly on alpha.
     """
     n, p = cfg.n, cfg.p
     target = threshold = None

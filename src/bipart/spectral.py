@@ -9,16 +9,16 @@ algorithm.  ``_eigenvalues`` is the call into the solver for whole
 matrices.  It takes a stack of matrices, so ``_gp_bounds`` bounds many
 matrices in one call; ``graham_pollak_lower_bound``, the whole-graph bound
 and the exact partition search's root bound, is a stack of one below
-``_SLICE_MIN`` vertices.  From ``_SLICE_MIN`` on it slices the spectrum
-instead (``_sliced_gp_bound``): one half-size ``eigh`` of the leading block
-and one half-size ``eigvalsh`` of a Schur complement per sign.  A guard
-falls back to the whole-matrix solve when the slices' rounding could flip a
-count: a leading eigenvalue within the tolerance of a shift, a Schur
-eigenvalue inside its rounding bound, or a solver that fails to converge.
-The search makes the other call: ``partition._update_bounds`` decomposes a
-node's matrix once (``numpy.linalg.eigh``) and reads the inertia of its
-children from that.  The children it cannot read, and small blocks, go to
-``_gp_bounds``.  A ``Graph`` is read from ``Graph.packed``.
+``_SLICE_MIN`` vertices, the size from which the measured cost of slicing
+the spectrum is about a quarter below one full solve.  From there on
+``_sliced_gp_bound`` takes one half-size ``eigh`` of the leading block and
+one half-size ``eigvalsh`` of a Schur complement per sign, and its guard
+hands the graph back to the whole-matrix solve when rounding could flip a
+count or a solver fails to converge.  The search makes the other call:
+``partition._update_bounds`` decomposes a node's matrix once
+(``numpy.linalg.eigh``) and reads the inertia of its children from that.
+The children it cannot read, and small blocks, go to ``_gp_bounds``.  A
+``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:
 
 
 # Graphs of fewer vertices skip _sliced_gp_bound.  Its cost, a half-size
-# eigh, three half-size products and two half-size eigvalsh, meets one full
-# eigvalsh at about 750 vertices; from 900 on it is about a quarter lower,
-# which covers the half-size eigh that a graph the guard sends back to the
-# full solve wastes (G(n, 1/2) at n = 600-1200, alternated pairs, 2-core
-# x86-64, numpy 2.4 on one OpenBLAS thread).
+# eigh, three half-size products and two half-size eigvalsh, falls below one
+# full eigvalsh at about 600 vertices; from 1000 on it saves at least the
+# half-size eigh, about 30 % of a full solve, that a graph the guard sends
+# back after the eigh wastes (G(n, 1/2) at n = 600-1500, nine alternated
+# runs each, 2-core x86-64, numpy 2.4 on one OpenBLAS thread).
 _SLICE_MIN = 1000
 
 
@@ -140,18 +140,20 @@ def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
     n+(A11 - sigma I) + n+(S(sigma)) for the leading block A11 = A[:h, :h],
     h = n // 2, and its Schur complement
     S(sigma) = A22 - sigma I - A12^T (A11 - sigma I)^-1 A12.  With
-    A11 = Q L Q^T and W = Q^T A12, S(sigma) = A22 - sigma I - W^T (L - sigma I)^-1 W.
-    So one half-size ``eigh`` and one product serve both shifts: sigma = tol
-    counts n+ and sigma = -tol counts n-, each with one half-size
-    ``eigvalsh``.  The blocks come from the packed rows; the n x n float64
-    matrix is never built.
+    A11 = Q L Q^T and W = Q^T A12 that is
+    S(sigma) = A22 - sigma I - W^T (L - sigma I)^-1 W, so one half-size
+    ``eigh`` and one product serve both shifts: sigma = tol counts n+ and
+    sigma = -tol counts n-, each with one half-size ``eigvalsh``.  The blocks
+    come from the packed rows; the n x n float64 matrix is never built.
 
     The guard returns None, for the whole-matrix solve, when
 
     - ``eigh`` or ``eigvalsh`` fails to converge;
     - A11 has an eigenvalue within tol of a shift (|lambda| <= 2 tol), before
       any product.  A singular A11 (isolated or twin vertices among the first
-      h, K_{m,m} split between its sides) always has one;
+      h, K_{m,m} split between its sides) always has one; a zero row of A11,
+      a vertex with no neighbour among the first h as in most sparse graphs,
+      is caught before the ``eigh``;
     - S(sigma) has an eigenvalue mu with |mu| <= 64 eps n (sum_k ||w_k||^2 /
       |lambda_k - sigma| + max |mu| + n), w_k the rows of W: within 64 n
       units in the last place of the magnitudes that the product, ``eigh``
@@ -160,14 +162,17 @@ def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
     tol = default_tolerance(n)
     h = n // 2
     top = _unpacked(packed[:h], n)
+    a11 = top[:, :h]
+    if not a11.any(axis=1).all():  # a zero row: A11 is singular
+        return None
     try:
-        lam, q = np.linalg.eigh(top[:, :h].astype(np.float64))
+        lam, q = np.linalg.eigh(a11.astype(np.float64))
     except np.linalg.LinAlgError:
         return None
     if np.any(np.abs(lam) <= 2 * tol):
         return None
     w = q.T @ top[:, h:].astype(np.float64)
-    del q, top
+    del q, top, a11
     weights = np.einsum("ij,ij->i", w, w)
     a22 = _unpacked(packed[h:], n)[:, h:].astype(np.float64)
     diagonal = np.diag_indices(n - h)

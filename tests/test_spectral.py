@@ -129,7 +129,7 @@ class TestGpBound:
 
         monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
         small, large = Graph.complete(4), sample_gnp(GnpSpec(48, 0.5, 3))
-        assert bound_and_path(monkeypatch, large) == (gp_bound_reference(large.adj, 48), "sliced")
+        assert bound_and_path(monkeypatch, large) == (gp_bound_reference(large.adj, 48), "eigh+schur")
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         for g in (small, large):
             for compute in (lambda: graham_pollak_lower_bound(g), lambda: inertia_from_rows(g.adj, g.n)):
@@ -149,23 +149,29 @@ class TestGpBound:
         monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
         monkeypatch.setattr(np.linalg, failing, fail_on_half)
         g = sample_gnp(GnpSpec(48, 0.5, 3))
-        path = "full" if failing == "eigh" else "sliced+full"
+        path = "eigh+full" if failing == "eigh" else "eigh+schur+full"
         assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, 48), path)
 
 
 def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
-    """graham_pollak_lower_bound(g), and the eigvalsh solves it ran: "sliced"
-    (Schur complements only), "full" (the whole matrix only) or "sliced+full"
-    (a fallback after the Schur complements)."""
+    """graham_pollak_lower_bound(g), and the kinds of solve it ran, in order
+    and joined by "+": "eigh" (the leading block), "schur" (a Schur
+    complement) and "full" (the whole matrix)."""
     solves = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-    def spy(matrices):
-        solves.append("full" if matrices.shape[-1] == g.n else "sliced")
+    def spy_eigh(matrix):
+        solves.append("eigh")
+        return eigh(matrix)
+
+    def spy_eigvalsh(matrices):
+        solves.append("full" if matrices.shape[-1] == g.n else "schur")
         return eigvalsh(matrices)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
     bound = graham_pollak_lower_bound(g)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return bound, "+".join(dict.fromkeys(solves))
 
@@ -191,29 +197,32 @@ class TestSlicedBound:
             bound, path = bound_and_path(monkeypatch, g)
             assert bound == gp_bound_reference(g.adj, n), (n, p)
             paths.append(path)
-        # Sparse draws have isolated vertices and dense ones twins, so a singular
-        # leading block, and fall back before any product; the rest slice.
-        assert paths.count("sliced") >= 10 and paths.count("full") >= 10
+        # Sparse draws have a zero row in the leading block, caught before the
+        # eigh, and dense ones twins there, a singular A11 caught after it; the
+        # rest slice.
+        assert paths.count("eigh+schur") >= 10 and paths.count("full") >= 5
+        assert paths.count("eigh+full") >= 3
 
     def test_default_constant(self, monkeypatch):
         g = sample_gnp(GnpSpec(spectral._SLICE_MIN, 0.3, 5))
-        assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, g.n), "sliced")
+        assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, g.n), "eigh+schur")
 
     @pytest.mark.parametrize("g, path", [
-        (Graph.complete_bipartite(20, 20), "full"),  # singular leading block
-        (Graph.complete_bipartite(13, 27), "full"),
-        (Graph.complete(40), "sliced"),
+        (Graph.complete_bipartite(20, 20), "full"),
+        (Graph.complete_bipartite(13, 27), "eigh+full"),
+        (Graph.complete(40), "eigh+schur"),
         (Graph.empty(40), "full"),
         (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 0, None), "full"),
-        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, None), "sliced"),
-        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, 46), "sliced"),
-        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 3, 5), "full"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, None), "eigh+schur"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, 46), "eigh+schur"),
+        (with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 3, 5), "eigh+full"),
     ], ids=["K20,20", "K13,27", "K40", "empty", "isolated-leading", "isolated-trailing",
             "twins-trailing", "twins-leading"])
     def test_structured_graphs(self, monkeypatch, g, path):
         # A zero eigenvalue of the trailing block's vertices (an isolated or twin
         # vertex there) is one of S(sigma)'s, exactly -sigma; in the leading block
-        # it makes A11 singular, which falls back before any product.
+        # it makes A11 singular, which falls back before any product, and before
+        # the eigh when A11 has a zero row.
         monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
         bound, taken = bound_and_path(monkeypatch, g)
         assert (bound, taken) == (gp_bound_reference(g.adj, g.n), path)
@@ -226,4 +235,4 @@ class TestSlicedBound:
         monkeypatch.setattr(spectral, "default_tolerance", lambda n: 1e-30)
         g = with_edges_of(sample_gnp(GnpSpec(48, 0.5, 9)), 47, 46)
         sig = inertia(g, tol=1e-30)
-        assert bound_and_path(monkeypatch, g) == (max(sig.n_plus, sig.n_minus), "sliced+full")
+        assert bound_and_path(monkeypatch, g) == (max(sig.n_plus, sig.n_minus), "eigh+schur+full")
