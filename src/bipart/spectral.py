@@ -9,8 +9,8 @@ algorithm.  ``_eigenvalues`` is the call into the solver for whole
 matrices.  It takes a stack of matrices, so ``_gp_bounds`` bounds many
 matrices in one call; ``graham_pollak_lower_bound``, the whole-graph bound
 and the exact partition search's root bound, is a stack of one below
-``_SLICE_MIN`` vertices, the size from which the measured cost of slicing
-the spectrum is about a quarter below one full solve.  From there on
+``_SLICE_MIN`` vertices, the size from which slicing the spectrum measured
+about 30 % below one full solve.  From there on
 ``_sliced_gp_bound`` takes one half-size ``eigh`` of the leading block and
 one half-size ``eigvalsh`` of a Schur complement per sign, and its guard
 hands the graph back to the whole-matrix solve when rounding could flip a

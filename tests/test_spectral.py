@@ -155,8 +155,8 @@ class TestGpBound:
 
 def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
     """graham_pollak_lower_bound(g), and the kinds of solve it ran, in order
-    and joined by "+": "eigh" (the leading block), "schur" (a Schur
-    complement) and "full" (the whole matrix)."""
+    of first use and joined by "+": "eigh" (the leading block), "schur" (a
+    Schur complement) and "full" (the whole matrix)."""
     solves = []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
