@@ -112,6 +112,25 @@ def test_search_digest():
     assert hashlib.sha256(json.dumps(masks).encode()).hexdigest() == SEARCH_DIGEST
 
 
+# (n, p, seed, rounds) from n = 200 to 2000, sparse to dense.  Sparse pools
+# reach the beam's exact finisher with more to gain than dense ones do; fewer
+# rounds at the larger and sparser sizes keep the test near 2 s.
+WIDE_SEARCH_GRAPHS = [
+    (200, 0.05, 1, 1), (400, 0.1, 2, 1), (300, 0.3, 3, 2), (1200, 0.3, 4, 1),
+    (500, 0.5, 5, 2), (2000, 0.5, 6, 1), (1000, 0.9, 7, 2), (2000, 0.9, 8, 1),
+]
+WIDE_SEARCH_DIGEST = "cc197df1012f24586583de20df9d26ee46855acd0a647122092a33d7ea21b3c5"
+
+
+def test_wide_search_digest():
+    """(size, mask) of independent_set_search on WIDE_SEARCH_GRAPHS."""
+    found = []
+    for n, p, seed, rounds in WIDE_SEARCH_GRAPHS:
+        s = independent_set_search(sample_gnp(GnpSpec(n, p, seed)), seed, rounds)
+        found.append([len(s), s.mask])
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == WIDE_SEARCH_DIGEST
+
+
 WITNESS_GRAPHS = [(n, p, seed) for n in range(6, 11) for p, seed in ((0.3, 1), (0.5, 2), (0.7, 3))]
 # Larger graphs solved at budgets 0 and 200, so the digest pins budget-outs:
 # tau with its star incumbent, and tau' with no partition found (INFINITY).
