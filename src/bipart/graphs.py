@@ -7,8 +7,10 @@ immutable after construction and safe to share across threads.  This module
 also holds the private mask helpers that the other modules share: submasks,
 common neighborhoods, greedy independent passes, ``_independent`` (the one
 independence check), ``_alpha_branch_and_bound`` (the one exact
-independent-set search), ``_strip`` (removes a biclique's cross edges, for
-the coverage game and the exact partition search), and ``_packed``,
+independent-set search) and ``_exceeds`` (decision only: can a pool beat a
+given size, asked of the beam finisher's pools before the exact search),
+``_strip`` (removes a biclique's cross edges, for the coverage game and the
+exact partition search), and ``_packed``,
 ``_unpacked`` and ``_transposed``, the only code that knows the packed bit
 format (the sampler, the symmetry check and partition validation share
 ``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
@@ -410,9 +412,13 @@ class AlphaResult:
     nodes: int
 
 
-def _clique_cover_bound(adj: Sequence[int], pool: int) -> int:
-    """Greedy clique cover of ``pool``; its size upper-bounds alpha(pool)."""
-    count = 0
+def _clique_cover(adj: Sequence[int], pool: int, k: int) -> tuple[int, int]:
+    """Greedy clique cover of ``pool``, each clique grown from its lowest vertex.
+
+    Returns the number of cliques, which upper-bounds alpha(pool), and the
+    members of the cliques numbered above ``k``.
+    """
+    count, above = 0, 0
     rest = pool
     while rest:
         v = (rest & -rest).bit_length() - 1
@@ -424,7 +430,9 @@ def _clique_cover_bound(adj: Sequence[int], pool: int) -> int:
             cand &= adj[u]
         rest &= ~clique
         count += 1
-    return count
+        if count > k:
+            above |= clique
+    return count, above
 
 
 def _alpha_branch_and_bound(
@@ -450,7 +458,7 @@ def _alpha_branch_and_bound(
             if size > best_size:
                 best_size, best_mask = size, cur
             continue
-        if size + _clique_cover_bound(adj, p) <= best_size:
+        if size + _clique_cover(adj, p, best_size - size)[0] <= best_size:
             continue
         bv, bd = -1, -1
         w = p
@@ -464,6 +472,31 @@ def _alpha_branch_and_bound(
         stack.append((p & ~(1 << bv), cur, size))
         stack.append((p & ~adj[bv] & ~(1 << bv), cur | (1 << bv), size + 1))
     return best_size, best_mask, True, nodes
+
+
+def _exceeds(adj: Sequence[int], pool: int, best: int, budget: int) -> bool:
+    """True iff ``pool`` holds an independent set of more than ``best`` vertices,
+    or the node budget runs out first.  Decision only: no set is returned.
+
+    Colour-class branching (Tomita and Seki 2003), with cliques for colour
+    classes: each node splits its pool into the greedy cliques of
+    ``_clique_cover``.  A node that has taken s vertices beats ``best`` only
+    with more than k = best - s of its pool, at most one per clique, so with
+    one from a clique numbered above k.  So a node prunes when there are at
+    most k cliques, and otherwise branches on those cliques' vertices only,
+    each branch excluding the ones tried before it.
+    """
+    nodes = 0
+    stack = [(pool, best)]  # (pool, best - size)
+    while stack:
+        p, need = stack.pop()
+        nodes += 1
+        if need < 0 or nodes > budget:
+            return True
+        for v in iter_bits(_clique_cover(adj, p, need)[1]):
+            p &= ~(1 << v)
+            stack.append((p & ~adj[v], need - 1))
+    return False
 
 
 def independence_number_exact(g: Graph, budget: int = 2_000_000) -> AlphaResult:
@@ -534,9 +567,12 @@ def _beam_with_exact_finish(
     list would.  The exact finisher runs on the pool's rows relabelled by
     ``_pool_rows``, which keeps the vertex order, so its branch vertices,
     clique covers and node counts are those of the global rows.  It is seeded
-    with the incumbent so dominated pools prune immediately.  Returns (size,
-    mask) of the best completed set, which is (incumbent, 0) when nothing
-    improved.
+    with the incumbent so dominated pools prune immediately, and runs only
+    where ``_exceeds`` finds that the pool can beat the incumbent.  Skipping
+    the others keeps (size, mask) and the draws: there the search would have
+    returned the (best_size - size, 0) it was seeded with, which the loop
+    ignores, and it draws nothing from ``rng``.  Returns (size, mask) of the
+    best completed set, which is (incumbent, 0) when nothing improved.
     """
     full = (1 << n) - 1
     beam: list[tuple[int, int, int]] = [(full, 0, 0)]
@@ -546,8 +582,11 @@ def _beam_with_exact_finish(
         for pool, smask, size in beam:
             if pool.bit_count() <= _FINISH_AT:
                 members, rows = _pool_rows(packed, pool)
+                local = (1 << members.size) - 1
+                if not _exceeds(rows, local, best_size - size, 250_000):
+                    continue
                 got, gmask, _, _ = _alpha_branch_and_bound(
-                    rows, (1 << members.size) - 1, 250_000, (best_size - size, 0)
+                    rows, local, 250_000, (best_size - size, 0)
                 )
                 if size + got > best_size:
                     best_size = size + got

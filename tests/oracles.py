@@ -86,6 +86,27 @@ def alpha_brute(g: Graph) -> int:
     return best
 
 
+def alpha_pool_brute(rows, pool: int) -> int:
+    """Maximum independent set size within ``pool``, for pools too large to scan.
+
+    Takes a vertex with at most one neighbour in the pool outright (some
+    maximum set holds it), else tries a vertex of largest pool degree in and
+    out.  No bounds and no incumbent: fast enough up to about 44 vertices at
+    any density, where the 2^n scan of ``alpha_brute`` is not.
+    """
+    if not pool:
+        return 0
+    top, top_degree = -1, -1
+    for v in iter_bits(pool):
+        degree = (rows[v] & pool).bit_count()
+        if degree <= 1:
+            return 1 + alpha_pool_brute(rows, pool & ~rows[v] & ~(1 << v))
+        if degree > top_degree:
+            top, top_degree = v, degree
+    return max(alpha_pool_brute(rows, pool & ~(1 << top)),
+               1 + alpha_pool_brute(rows, pool & ~rows[top] & ~(1 << top)))
+
+
 def _smallest_uncovered(rows: list[int], n: int) -> tuple[int, int] | None:
     for v in range(n):
         if rows[v]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bipart.graphs as graphs
 from bipart.graphs import (
     GnpSpec,
     Graph,
@@ -20,6 +21,7 @@ from bipart.graphs import (
     independent_set_greedy,
     independent_set_search,
     induced_subgraph,
+    mask_of,
     max_balanced_biclique_side,
     parse_edge_list,
     format_edge_list,
@@ -28,6 +30,7 @@ from bipart.graphs import (
 from bipart.graphs import (
     _alpha_branch_and_bound,
     _beam_with_exact_finish,
+    _exceeds,
     _packed,
     _pool_rows,
     _swap_polish,
@@ -37,6 +40,7 @@ from bipart.graphs import (
 from conftest import gnp_graphs
 from oracles import (
     alpha_brute,
+    alpha_pool_brute,
     balanced_side_brute,
     balanced_side_heuristic_reference,
     beam_reference,
@@ -364,6 +368,24 @@ class TestIndependence:
             global_mask = sum(1 << members[i] for i in range(len(members)) if mask >> i & 1)
             assert _alpha_branch_and_bound(g.adj, pool, budget, (initial, 0)) == (size, global_mask, complete, nodes)
 
+    def test_finisher_searches_only_pools_that_improve(self, monkeypatch):
+        """Every exact search the finisher runs beats its incumbent, and the
+        beam still matches the list reference, whose finisher searches every pool."""
+        calls = []
+        search = graphs._alpha_branch_and_bound
+
+        def counted(adj, pool, budget, initial_best):
+            out = search(adj, pool, budget, initial_best)
+            calls.append(out[0] > initial_best[0])
+            return out
+
+        monkeypatch.setattr(graphs, "_alpha_branch_and_bound", counted)
+        for n, p, seed in [(59, 0.1, 3), (203, 0.2, 2), (333, 0.5, 5), (250, 0.7, 8)]:
+            g = sample_gnp(GnpSpec(n, p, seed))
+            expected = beam_reference(g.adj, n, random.Random(seed), 0)
+            assert _beam_with_exact_finish(g.adj, n, g.packed, random.Random(seed), 0) == expected
+        assert calls and all(calls), calls
+
     def test_search_refuses_zero_rounds(self):
         with pytest.raises(ValueError, match="rounds"):
             independent_set_search(Graph.complete(3), 1, rounds=0)
@@ -389,6 +411,42 @@ class TestIndependence:
                     assert got == expected, (n, p, seed, moves)
                     assert rng.getstate() == ref_rng.getstate(), (n, p, seed, moves)
         assert {"insert", "swap", "no-tight", "kick"} <= set(hits), hits
+
+
+class TestExceeds:
+    """``_exceeds(rows, pool, best, budget)``: True iff the pool holds an
+    independent set of more than ``best`` vertices, or the budget runs out."""
+
+    @given(gnp_graphs(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, g):
+        alpha = alpha_brute(g)
+        for best in range(-1, alpha + 2):
+            assert _exceeds(g.adj, g.vertex_mask, best, 250_000) == (alpha > best), best
+
+    @pytest.mark.parametrize("p", [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98])
+    def test_matches_oracle_on_pools_up_to_44_bits(self, p):
+        """Also agrees with the exact search seeded with ``best``, as the finisher asks it."""
+        for seed in range(12):
+            g = sample_gnp(GnpSpec(44, p, seed))
+            rng = random.Random(seed)
+            members = range(44) if seed % 3 == 0 else rng.sample(range(44), rng.randint(1, 43))
+            pool = mask_of(members)
+            alpha = alpha_pool_brute(g.adj, pool)
+            for best in range(-1, alpha + 2):
+                assert _exceeds(g.adj, pool, best, 250_000) == (alpha > best), (seed, best)
+                improved = _alpha_branch_and_bound(g.adj, pool, 250_000, (best, 0))[0] > best
+                assert improved == (alpha > best), (seed, best)
+
+    def test_budget_out_returns_true(self):
+        g = sample_gnp(GnpSpec(44, 0.5, 1))
+        alpha = alpha_pool_brute(g.adj, g.vertex_mask)
+        assert not _exceeds(g.adj, g.vertex_mask, alpha, 250_000)
+        budget = 0
+        while _exceeds(g.adj, g.vertex_mask, alpha, budget):
+            budget += 1
+        assert budget > 1  # the refutation needs more than its root
+        assert _exceeds(g.adj, 0, 0, 0)
 
 
 class TestDensityDeviation:
