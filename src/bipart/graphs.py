@@ -412,13 +412,13 @@ class AlphaResult:
     nodes: int
 
 
-def _clique_cover(adj: Sequence[int], pool: int, k: int) -> tuple[int, int]:
-    """Greedy clique cover of ``pool``, each clique grown from its lowest vertex.
+def _clique_cover(adj: Sequence[int], pool: int, k: int) -> int:
+    """The members of the cliques numbered above ``k`` in a greedy clique
+    cover of ``pool``, each clique grown from its lowest vertex.
 
-    Returns the number of cliques, which upper-bounds alpha(pool), and the
-    members of the cliques numbered above ``k``.
+    The cover's size upper-bounds alpha(pool), so 0 proves alpha(pool) <= k.
     """
-    count, above = 0, 0
+    above = 0
     rest = pool
     while rest:
         v = (rest & -rest).bit_length() - 1
@@ -429,10 +429,11 @@ def _clique_cover(adj: Sequence[int], pool: int, k: int) -> tuple[int, int]:
             clique |= 1 << u
             cand &= adj[u]
         rest &= ~clique
-        count += 1
-        if count > k:
+        if k > 0:
+            k -= 1
+        else:
             above |= clique
-    return count, above
+    return above
 
 
 def _alpha_branch_and_bound(
@@ -458,7 +459,7 @@ def _alpha_branch_and_bound(
             if size > best_size:
                 best_size, best_mask = size, cur
             continue
-        if size + _clique_cover(adj, p, best_size - size)[0] <= best_size:
+        if not _clique_cover(adj, p, best_size - size):
             continue
         bv, bd = -1, -1
         w = p
@@ -493,7 +494,7 @@ def _exceeds(adj: Sequence[int], pool: int, best: int, budget: int) -> bool:
         nodes += 1
         if need < 0 or nodes > budget:
             return True
-        for v in iter_bits(_clique_cover(adj, p, need)[1]):
+        for v in iter_bits(_clique_cover(adj, p, need)):
             p &= ~(1 << v)
             stack.append((p & ~adj[v], need - 1))
     return False
