@@ -418,6 +418,7 @@ class TestExceeds:
     independent set of more than ``best`` vertices, or the budget runs out."""
 
     @given(gnp_graphs(max_n=12))
+    @example(Graph.empty(0))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
         alpha = alpha_brute(g)
