@@ -10,9 +10,10 @@ matrices.  It takes a stack of matrices, so ``_gp_bounds`` bounds many
 matrices in one call; ``graham_pollak_lower_bound``, the whole-graph bound
 and the exact partition search's root bound, is a stack of one below
 ``_SLICE_MIN`` vertices, the size from which slicing the spectrum measured
-about 30 % below one full solve.  From there on
+about 40 % below one full solve.  From there on
 ``_sliced_gp_bound`` takes one half-size ``eigh`` of the leading block and
-one half-size ``eigvalsh`` of a Schur complement per sign, and its guard
+a half-size ``eigvalsh`` of a Schur complement for one sign, and for the
+other only while the first count is below n/2, as n+ + n- <= n; its guard
 hands the graph back to the whole-matrix solve when rounding could flip a
 count or a solver fails to converge.  The search makes the other call:
 ``partition._update_bounds`` decomposes a node's matrix once
@@ -121,12 +122,14 @@ def inertia(g: Graph, tol: float | None = None) -> InertiaSignature:
     return _signature(g.packed, g.n, tol)
 
 
-# Graphs of fewer vertices skip _sliced_gp_bound.  Its cost, a half-size
-# eigh, three half-size products and two half-size eigvalsh, falls below one
-# full eigvalsh at about 600 vertices; from 1000 on it saves at least the
+# Graphs of fewer vertices skip _sliced_gp_bound.  On a dense graph its cost,
+# a half-size eigh, two half-size products and one half-size eigvalsh, falls
+# below one full eigvalsh from 500 vertices on.  What that saves exceeds the
 # half-size eigh, about 30 % of a full solve, that a graph the guard sends
-# back after the eigh wastes (G(n, 1/2) at n = 600-1500, nine alternated
-# runs each, 2-core x86-64, numpy 2.4 on one OpenBLAS thread).
+# back after the eigh wastes from about 800 on, but only from 1000 by more
+# than the spread between runs (G(n, 1/2) and G(n, 0.995) at n = 500-1000,
+# fourteen runs each in alternated order, 2-core x86-64, numpy 2.4 on one
+# OpenBLAS thread).
 _SLICE_MIN = 1000
 
 
@@ -143,8 +146,12 @@ def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
     A11 = Q L Q^T and W = Q^T A12 that is
     S(sigma) = A22 - sigma I - W^T (L - sigma I)^-1 W, so one half-size
     ``eigh`` and one product serve both shifts: sigma = tol counts n+ and
-    sigma = -tol counts n-, each with one half-size ``eigvalsh``.  The blocks
-    come from the packed rows; the n x n float64 matrix is never built.
+    sigma = -tol counts n-, each with one half-size ``eigvalsh``.  The sign
+    with more eigenvalues of A11 beyond its shift goes first, minus on a tie
+    (the bulk of a dense spectrum sits at -p); by Cauchy interlacing it
+    mostly has the larger count.  As n+ + n- <= n, a first count c with
+    2c >= n is max(n+, n-): the other shift, and its guard, are skipped.  The
+    blocks come from the packed rows; the n x n float64 matrix is never built.
 
     The guard returns None, for the whole-matrix solve, when
 
@@ -177,7 +184,8 @@ def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
     a22 = _unpacked(packed[h:], n)[:, h:].astype(np.float64)
     diagonal = np.diag_indices(n - h)
     counts = []
-    for sign in (1, -1):
+    first = 1 if np.count_nonzero(lam > tol) > np.count_nonzero(lam < -tol) else -1
+    for sign in (first, -first):
         sigma = sign * tol
         shifted = lam - sigma
         schur = a22 - w.T @ (w / shifted[:, None])
@@ -191,6 +199,8 @@ def _sliced_gp_bound(packed: np.ndarray, n: int) -> int | None:
         if np.any(np.abs(mu) <= rounding):
             return None
         counts.append(np.count_nonzero(sign * shifted > 0) + np.count_nonzero(sign * mu > 0))
+        if 2 * counts[-1] >= n:  # n+ + n- <= n: the other count is no larger
+            return int(counts[-1])
     return int(max(counts))
 
 

@@ -153,10 +153,10 @@ class TestGpBound:
         assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, 48), path)
 
 
-def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
-    """graham_pollak_lower_bound(g), and the kinds of solve it ran, in order
-    of first use and joined by "+": "eigh" (the leading block), "schur" (a
-    Schur complement) and "full" (the whole matrix)."""
+def bound_and_solves(monkeypatch, g: Graph) -> tuple[int, list[str]]:
+    """graham_pollak_lower_bound(g), and each solve it ran, in order: "eigh"
+    (the leading block), "schur" (a Schur complement) and "full" (the whole
+    matrix)."""
     solves = []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -173,6 +173,13 @@ def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
     bound = graham_pollak_lower_bound(g)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return bound, solves
+
+
+def bound_and_path(monkeypatch, g: Graph) -> tuple[int, str]:
+    """graham_pollak_lower_bound(g), and the kinds of solve it ran, in order
+    of first use and joined by "+"."""
+    bound, solves = bound_and_solves(monkeypatch, g)
     return bound, "+".join(dict.fromkeys(solves))
 
 
@@ -204,8 +211,33 @@ class TestSlicedBound:
         assert paths.count("eigh+full") >= 3
 
     def test_default_constant(self, monkeypatch):
+        # The bulk of a dense spectrum sits at -p: A11 has more negative
+        # eigenvalues, and the negative count alone reaches n/2.
         g = sample_gnp(GnpSpec(spectral._SLICE_MIN, 0.3, 5))
-        assert bound_and_path(monkeypatch, g) == (gp_bound_reference(g.adj, g.n), "eigh+schur")
+        bound, solves = bound_and_solves(monkeypatch, g)
+        assert (bound, solves) == (gp_bound_reference(g.adj, g.n), ["eigh", "schur"])
+        assert 2 * bound >= g.n
+
+    @pytest.mark.parametrize("n, p, seed", [(200, 0.5, 3), (260, 0.5, 4), (151, 0.9, 5)])
+    def test_dense_graph_runs_one_schur_solve(self, monkeypatch, n, p, seed):
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        g = sample_gnp(GnpSpec(n, p, seed))
+        bound, solves = bound_and_solves(monkeypatch, g)
+        assert (bound, solves) == (gp_bound_reference(g.adj, n), ["eigh", "schur"])
+
+    @pytest.mark.parametrize("isolated, n_minus, schur_solves", [(3, 24, 1), (5, 23, 2), (8, 21, 2)])
+    def test_second_schur_solve_only_below_half(self, monkeypatch, isolated, n_minus, schur_solves):
+        # G(48, 1/2) with its last vertices isolated: n+ < n- throughout, and
+        # A11 (13 negative eigenvalues of 24) predicts the minus sign.  At
+        # n- = 24 = n/2 the plus count cannot exceed it; below, it might.
+        monkeypatch.setattr(spectral, "_SLICE_MIN", 32)
+        g = sample_gnp(GnpSpec(48, 0.5, 9))
+        g = Graph.from_edges(48, [(a, b) for a, b in g.edges() if max(a, b) < 48 - isolated])
+        sig = inertia(g)
+        assert sig.n_plus < sig.n_minus == n_minus
+        bound, solves = bound_and_solves(monkeypatch, g)
+        assert bound == n_minus == gp_bound_reference(g.adj, 48)
+        assert solves == ["eigh"] + ["schur"] * schur_solves
 
     @pytest.mark.parametrize("g, path", [
         (Graph.complete_bipartite(20, 20), "full"),
