@@ -7,6 +7,13 @@ and removed before the next step.  ``max_coverage_exact`` computes the
 exact maximum of this game, which at once upper-bounds how many edges any
 edge-disjoint biclique completion of the given left sides can cover.
 
+The order does not change what a play can cover.  A right side L_j lies in
+A_j's current common neighborhood exactly when every edge of A_j x L_j is
+still present, and those edges belong to A_j's step alone.  So a play is a
+family of pairwise edge-disjoint bicliques A_j x L_j with L_j inside A_j's
+common neighborhood in the original graph, and the same right sides played
+in any order form a play with the same total.
+
 The counting convention matters: each step counts cross edges in the graph
 left after all earlier removals, not in the original graph.  The recursive
 removal of covered edges forces this reading and it is the one implemented
@@ -112,7 +119,11 @@ def family_from_json(data: dict) -> CoverageFamily:
 
 @dataclass(frozen=True)
 class CoverageTrace:
-    """One play of the coverage game: order, per-step right sides, edges taken."""
+    """One play of the coverage game: order, per-step right sides, edges taken.
+
+    Exact traces play the sets in index order; greedy traces in their
+    seeded order.
+    """
 
     order: tuple[int, ...]
     choices: tuple[tuple[int, ...], ...]
@@ -133,15 +144,18 @@ _MAX_EXACT_SETS = 8
 _MAX_EXACT_UNIVERSE = 12
 
 
-def _local_setup(g: Graph, universe, fam: CoverageFamily):
-    """Relabel the universe to 0..u-1 and restrict adjacency to it."""
+def _local_setup(g: Graph, universe, fam: CoverageFamily, limit: int | None = None):
+    """Relabel the universe to 0..u-1 and restrict adjacency to it; a
+    universe of more than ``limit`` vertices is refused before that."""
     umask = mask_of(universe)
     if umask >> g.n:
         raise ValueError("universe leaves the graph")
+    if not set(fam.universe) <= set(iter_bits(umask)):
+        raise ValueError("family universe is not contained in the given universe")
+    if limit is not None and umask.bit_count() > limit:
+        raise ValueError(f"exact coverage refused for more than {limit} universe vertices")
     local, verts = induced_subgraph(g, VertexSet(umask, g.n))
     index = {v: i for i, v in enumerate(verts)}
-    if not set(fam.universe) <= set(verts):
-        raise ValueError("family universe is not contained in the given universe")
     set_masks = tuple(mask_of(index[v] for v in s) for s in fam.sets)
     return verts, index, local.adj, set_masks
 
@@ -189,84 +203,92 @@ def max_coverage_exact(
 ) -> tuple[int, CoverageTrace]:
     """Exact maximum total coverage over all orders and right-side choices.
 
-    Depth-first branch and bound.  When set j is played, a vertex y of its
-    current common neighbourhood CN_j stays an open choice only if a set
-    still to play can be affected by the edges from S_j to y: y belongs to
-    such a set, or y lies in the current CN_i of such a set i that shares a
-    member with S_j.  Every other y is always taken.  Its edges have no
-    endpoint in a later set, so none of them is a later set's cross edge
-    and removing them changes no later CN_i: taking y gains |S_j| now and
-    changes nothing after.  A state already expanded with at least as much
-    coverage is skipped.  A node is pruned when its coverage plus the
-    distinct edges of the union of S_i x CN_i over the remaining sets
-    cannot beat the best play (CN_i only shrinks and an edge is covered
-    once, so no continuation covers more), and a move is pruned when it
-    could not win even if every other remaining set took its single-set
-    ceiling.
+    Depth-first branch and bound over the plays in index order.  A node is
+    (next set j, edge state, coverage, right sides so far); its children
+    are set j's right sides, from largest down, and j = k is a leaf.  The
+    order costs nothing (see the module docstring), so this is the maximum
+    over all orders.
 
-    The trace is the first optimal play with sets tried in index order and
-    right sides from largest down.  Neither rule changes it.  A right side
-    L that lacks some of the always-taken vertices F comes after L | F,
-    whose subtree scores exactly |S_j| |F - L| more, so L's subtree holds
-    no optimal leaf.  The prunes cut only subtrees that cannot strictly
-    beat the best play so far, which a later leaf must do to replace it.
-    There is no node budget.
+    A vertex y of S_j's current common neighbourhood CN_j stays an open
+    choice only if a later set can be affected by the edges from S_j to y:
+    y belongs to a later set, or y lies in the current CN_i of a later set
+    i that shares a member with S_j.  Every other y is always taken.  Its
+    edges have no endpoint in a later set, so none of them is a later
+    set's cross edge and removing them changes no later CN_i: taking y
+    gains |S_j| now and changes nothing after.  The shared-member clause
+    is what lets S_j leave y to a later set i when i's cross edges from
+    the shared member to y are worth more.  A (next set, edge state) pair
+    already expanded with at least as much coverage is skipped.  A node is
+    pruned when its coverage plus the sum of |S_i| |CN_i| over sets j..k-1,
+    or plus the distinct edges of the union of their S_i x CN_i, cannot
+    beat the best play (CN_i only shrinks and an edge is covered once, so
+    no continuation covers more).  There is no node budget.
+
+    The trace is the first optimal play of the whole game tree, which at
+    each step tries the sets left in index order and then each one's right
+    sides from largest down; that play takes the sets in index order, and
+    the search returns it.  First, take a node of that tree where sets
+    0..j-1 were played in order.  Its subtree's optimum is reached by a
+    continuation that plays set j next: reorder any optimal continuation.
+    Set j's children come first, so the first optimal leaf lies under the
+    first child of set j whose subtree holds an optimal leaf; the subtree
+    of each child of j has the same optimum as its index-order part, so
+    that child is the same in both trees, and by induction so is the leaf.
+    Second, no rule cuts that leaf.  A right side L that lacks some of the
+    always-taken vertices F comes after L | F, whose subtree scores exactly
+    |S_j| |F - L| more, so L's subtree holds no optimal leaf.  A skipped
+    pair's earlier expansion, with at least as much coverage and the same
+    sets and edges left, is no ancestor (j only rises), so it has already
+    found as much as the skipped subtree could.  The
+    prunes cut only subtrees that cannot strictly beat the best play so
+    far, which a later leaf must do to replace it.
 
     Refused above 8 sets or 12 universe vertices; use ``max_coverage_greedy``
     beyond that.
     """
     if len(fam.sets) > _MAX_EXACT_SETS:
         raise ValueError(f"exact coverage refused for more than {_MAX_EXACT_SETS} sets")
-    verts, index, rows0, set_masks = _local_setup(g, universe, fam)
-    nloc = len(verts)
-    if nloc > _MAX_EXACT_UNIVERSE:
-        raise ValueError(
-            f"exact coverage refused for more than {_MAX_EXACT_UNIVERSE} universe vertices"
-        )
+    verts, index, rows0, set_masks = _local_setup(g, universe, fam, _MAX_EXACT_UNIVERSE)
+    nloc, k = len(verts), len(set_masks)
     full = (1 << nloc) - 1
     sizes = [m.bit_count() for m in set_masks]
 
-    # Explicit stack of (sets left, rows, edges covered, play so far as
-    # (set, right side) pairs).  Children are pushed in reverse so they pop
-    # in move order, and only a strictly better leaf replaces the incumbent.
+    # Explicit stack of (next set, rows, edges covered, right sides so
+    # far).  Children are pushed in reverse so they pop from the largest
+    # right side down, and only a strictly better leaf replaces the incumbent.
     total, best_play = -1, ()
     reached: dict[tuple[int, tuple[int, ...]], int] = {}
-    stack = [((1 << len(set_masks)) - 1, rows0, 0, ())]
+    stack = [(0, rows0, 0, ())]
     while stack:
-        remaining, rows, value, play = stack.pop()
-        if not remaining:
+        j, rows, value, play = stack.pop()
+        if j == k:
             if value > total:
                 total, best_play = value, play
             continue
-        if reached.get((remaining, rows), -1) >= value:
+        if reached.get((j, rows), -1) >= value:
             continue
-        sides = [(j, _common_mask(rows, full, set_masks[j])) for j in iter_bits(remaining)]
-        slack = value + sum(sizes[j] * cn.bit_count() for j, cn in sides) - total
-        if slack <= 0 or value + _distinct_edges(nloc, set_masks, sides) <= total:
+        sides = [(i, _common_mask(rows, full, set_masks[i])) for i in range(j, k)]
+        if (value + sum(sizes[i] * cn.bit_count() for i, cn in sides) <= total
+                or value + _distinct_edges(nloc, set_masks, sides) <= total):
             continue
-        reached[remaining, rows] = value  # expanded states only, so pruning saves memory
+        reached[j, rows] = value  # expanded states only, so pruning saves memory
+        relevant = 0
+        for i, cn_i in sides[1:]:
+            relevant |= set_masks[i] | (cn_i if set_masks[i] & set_masks[j] else 0)
+        cn = sides[0][1]
+        undecided = cn & relevant
+        base = cn & ~undecided
         children = []
-        for j, cn in sides:
-            rest = remaining ^ (1 << j)
-            cap = sizes[j] * cn.bit_count() - slack  # gaining no more than this cannot win
-            relevant = 0
-            for i, cn_i in sides:
-                if i != j:
-                    relevant |= set_masks[i] | (cn_i if set_masks[i] & set_masks[j] else 0)
-            undecided = cn & relevant
-            base = cn & ~undecided
-            for sub in _submasks(undecided):
-                l_mask = base | sub
-                gain = sizes[j] * l_mask.bit_count()
-                if gain > cap:
-                    children.append((rest, _strip(rows, set_masks[j], l_mask), value + gain,
-                                     play + ((j, l_mask),)))
+        for sub in _submasks(undecided):
+            l_mask = base | sub
+            children.append((j + 1, _strip(rows, set_masks[j], l_mask),
+                             value + sizes[j] * l_mask.bit_count(), play + (l_mask,)))
         stack.extend(reversed(children))
 
     trace = CoverageTrace(
-        tuple(j for j, _ in best_play),
-        tuple(tuple(verts[i] for i in iter_bits(l_mask)) for _, l_mask in best_play),
-        tuple(_cross_edges(verts, set_masks[j], l_mask) for j, l_mask in best_play),
+        tuple(range(k)),
+        tuple(tuple(verts[i] for i in iter_bits(l_mask)) for l_mask in best_play),
+        tuple(_cross_edges(verts, set_masks[j], l_mask) for j, l_mask in enumerate(best_play)),
         total,
     )
     # Sanity ceiling: no play can beat the sum of single-set coverages in G[U].

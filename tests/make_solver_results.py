@@ -1,5 +1,5 @@
 """Record, or compare against the record, every partition solve of three fixed G(n, p) sets
-and every exact coverage solve of two fixed family sets.
+and every exact coverage solve of three fixed family sets.
 
 Run from the repository root:
 
@@ -23,9 +23,12 @@ The coverage sets run ``max_coverage_exact``.  The exact-small set is the
 workload's 40 coverage instances, drawn from the same Random after its
 solver graphs.  The coverage grid is k = 1-5 sets over u = 5-10 vertices
 at p = .3/.5/.8 and seeds 1-2: 180 families of 1- to 3-sets, where each
-set after the first repeats an earlier one with probability 1/4.  Per
-solve the file keeps the sha256 of (value, order, choices, covered) and,
-apart from it, the number of children the search strips.
+set after the first repeats an earlier one with probability 1/4.  The
+dense set is 6 and 8 sets of 2 or 3 vertices over G(12, .8) at seeds 1-6:
+12 families near the size limit whose searches run deep, the 8-set family
+of seed 1 taking about three seconds alone.  Per solve the file keeps the
+sha256 of (value, order, choices, covered) and, apart from it, the number
+of children the search strips.
 
 Without ``--write`` the script prints how the current code differs from
 tests/data/solver_results.json: result changes, status flips among them,
@@ -105,6 +108,13 @@ def grid_family(k: int, u: int, p: float, seed: int) -> tuple:
     return ("grid", k, u, p, seed, graph_seed, sets)
 
 
+def dense_family(k: int, seed: int) -> tuple:
+    """One family of the dense coverage set: k 2- and 3-sets over
+    G(12, .8) with graph seed ``seed``, drawn from their own Random."""
+    rng = random.Random(f"cov8:{seed}")
+    return ("dense", k, 12, 0.8, seed, seed, [rng.sample(range(12), rng.choice((2, 3))) for _ in range(k)])
+
+
 def solve_groups() -> dict[str, list[tuple[str, int, float, int, int]]]:
     """(solver, n, p, seed, budget) of every solve, per set, in the order recorded."""
     grid = [(name, n, p, seed, budget) for n, p, seed in GRID for name in SOLVERS for budget in BUDGETS]
@@ -113,7 +123,8 @@ def solve_groups() -> dict[str, list[tuple[str, int, float, int, int]]]:
 
 def coverage_groups() -> dict[str, list[tuple]]:
     """(set, k, u, p, seed, graph seed, sets) of every coverage solve, per set."""
-    return {"exact-small": exact_small_draws()[1], "grid": [grid_family(*cell) for cell in COVERAGE_GRID]}
+    return {"exact-small": exact_small_draws()[1], "grid": [grid_family(*cell) for cell in COVERAGE_GRID],
+            "dense": [dense_family(k, seed) for k in (6, 8) for seed in range(1, 7)]}
 
 
 def coverage_solve(g, universe, fam: CoverageFamily):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipart import coverage
 from bipart.coverage import (
     CoverageFamily,
     PeelingError,
@@ -38,6 +39,26 @@ def random_family(n, seed, max_sets=4, sizes=(2, 2, 3)):
         range(n),
         [tuple(sorted(rng.sample(range(n), rng.choice(sizes)))) for _ in range(k)],
     )
+
+
+def overlapping_family(n, seed):
+    """Four 1- to 3-sets over range(n): each after the first repeats an
+    earlier set with probability 1/4, shares a member with one with
+    probability 1/2, and is drawn freely otherwise."""
+    rng = random.Random(f"coverage-order:{seed}")
+    sets = []
+    for _ in range(4):
+        r = rng.random()
+        if sets and r < 0.25:
+            sets.append(rng.choice(sets))
+            continue
+        size = rng.choice((1, 2, 2, 3))
+        if sets and r < 0.75:
+            member = rng.choice(rng.choice(sets))
+            sets.append([member] + rng.sample([v for v in range(n) if v != member], size - 1))
+        else:
+            sets.append(rng.sample(range(n), size))
+    return CoverageFamily.of(range(n), sets)
 
 
 class TestCoveredEdges:
@@ -82,6 +103,22 @@ class TestMaxCoverageExact:
                 Graph.empty(4), range(4), CoverageFamily.of(range(4), [(0, 1)] * 9)
             )
 
+    def test_universe_refused_before_the_subgraph(self, monkeypatch):
+        # The size refusal needs no induced subgraph, which on a large
+        # universe costs far more than the refusal; the checks before it
+        # keep their order and messages.
+        def unreachable(*args):
+            raise AssertionError("induced_subgraph ran before the refusal")
+
+        monkeypatch.setattr(coverage, "induced_subgraph", unreachable)
+        fam = CoverageFamily.of(range(4), [(0, 1)])
+        with pytest.raises(ValueError, match="more than 12 universe vertices"):
+            max_coverage_exact(Graph.empty(13), range(13), fam)
+        with pytest.raises(ValueError, match="universe leaves the graph"):
+            max_coverage_exact(Graph.empty(13), range(14), fam)
+        with pytest.raises(ValueError, match="family universe is not contained"):
+            max_coverage_exact(Graph.empty(13), range(1, 13), fam)
+
     def test_matches_literal_oracle(self):
         for s in range(30):
             n = 4 + s % 3
@@ -97,15 +134,15 @@ class TestMaxCoverageExact:
         # Disjoint sets: vertex 4 sees 2 but not 3, so {2, 3} can never use
         # it and {0, 1} always takes both of its neighbours.
         (Graph.from_edges(7, [(0, 4), (1, 4), (2, 4), (0, 5), (1, 5), (2, 6), (3, 6)]),
-         [(0, 1), (2, 3)], 6, 3),
+         [(0, 1), (2, 3)], 6, 2),
         # A shared member: {0} played first must be free to leave vertex 2,
         # in the common neighbourhood of {0, 1}, which covers two edges there.
-        (Graph.from_edges(3, [(0, 2), (1, 2)]), [(0,), (0, 1)], 2, 6),
+        (Graph.from_edges(3, [(0, 2), (1, 2)]), [(0,), (0, 1)], 2, 4),
         # Duplicate sets share every member, so neither forces a vertex on
         # the other.
-        (Graph.complete(6), [(1, 3), (1, 3), (1, 4, 5)], 10, 163),
+        (Graph.complete(6), [(1, 3), (1, 3), (1, 4, 5)], 10, 76),
         # The single-set ceilings sum to 10 over 6 distinct edges.
-        (Graph.complete(4), [(1,), (2,), (0, 1)], 6, 23),
+        (Graph.complete(4), [(1,), (2,), (0, 1)], 6, 14),
     ], ids=["disjoint", "shared-member", "duplicates", "shared-edges"])
     def test_pruning_cases(self, g, sets, value, children):
         # Each case of the search's two rules against the oracles: the value,
@@ -115,6 +152,32 @@ class TestMaxCoverageExact:
         assert got == coverage_brute(g, range(g.n), fam.sets) == value
         assert (got, trace.order, trace.choices) == coverage_first_play(g, range(g.n), fam.sets)
         assert stripped == children
+
+    def test_index_order_is_the_first_optimal_order(self):
+        # The oracle tries every order of four sets that share members or
+        # repeat one another; its first optimal play still takes the sets
+        # in index order, with the right sides the search returns.
+        duplicated = shared = 0
+        for s in range(60):
+            n = 4 + s % 3
+            g = sample_gnp(GnpSpec(n, (0.5, 0.7, 0.9)[s // 3 % 3], 170_000 + s))
+            fam = overlapping_family(n, s)
+            duplicated += len(set(fam.sets)) < 4
+            shared += any(set(a) & set(b) for a in fam.sets for b in fam.sets if a != b)
+            got, trace = max_coverage_exact(g, range(n), fam)
+            expected = coverage_first_play(g, range(n), fam.sets)
+            assert expected[1] == (0, 1, 2, 3), (s, fam.sets)
+            assert (got, trace.order, trace.choices) == expected, (s, fam.sets)
+        assert duplicated >= 20 and shared >= 40
+
+    def test_duplicate_sets_children(self):
+        # Three copies each of {0, 1} and {1, 2} on K8 reach the same edge
+        # state by many plays; skipping the states already expanded keeps
+        # the search at 1,525 children.
+        fam = CoverageFamily.of(range(8), [(0, 1)] * 3 + [(1, 2)] * 3)
+        value, trace, children = coverage_solve(Graph.complete(8), range(8), fam)
+        assert (value, children) == (12, 1_525)
+        replay_trace(Graph.complete(8), range(8), fam, trace)
 
     def test_single_set_ceiling(self):
         # Never exceeds the sum of per-set coverages in the untouched graph.
@@ -135,8 +198,9 @@ class TestMaxCoverageExact:
 
 
 def test_coverage_results_match_the_record():
-    # The exact-small workload's 40 coverage solves and 180 seeded families
-    # of 1- to 3-sets, duplicates among them, against the "coverage" rows of
+    # The exact-small workload's 40 coverage solves, 180 seeded families of
+    # 1- to 3-sets, duplicates among them, and 12 dense families of 6 and 8
+    # sets over G(12, .8), against the "coverage" rows of
     # tests/data/solver_results.json: the sha256 of (value, order, choices,
     # covered) and the children stripped are checked apart.  Run
     # tests/make_solver_results.py to list the differences.
@@ -150,7 +214,7 @@ def test_coverage_child_total():
     # machine.
     families = coverage_groups()["exact-small"]
     assert len(families) == 40
-    assert sum(coverage_row(*family)[-1] for family in families) == 7_428
+    assert sum(coverage_row(*family)[-1] for family in families) == 1_284
 
 
 class TestMaxCoverageGreedy:
