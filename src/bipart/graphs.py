@@ -14,9 +14,10 @@ exact partition search), and ``_packed``,
 ``_unpacked`` and ``_transposed``, the only code that knows the packed bit
 format (the sampler, the symmetry check and partition validation share
 ``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
-``independent_set_search`` (the beam's pool listing and ranking, the exact
-finisher's pool rows, relabelled to local bits by ``_pool_rows``, and the swap
-polish), ``edge_count_within``, the balanced-side heuristic,
+``independent_set_search`` (the beam's pool listing and ranking, a chunk of
+beam states at a time, and the exact finisher's pool rows, relabelled to local
+bits by ``_pool_rows``; the swap polish keeps its counts in bit planes of
+Python ints instead), ``edge_count_within``, the balanced-side heuristic,
 ``validate_partition`` and the spectral bounds of a whole graph (its
 inertia, the Graham-Pollak bound, the root of the exact partition search);
 rows given without a graph are packed first.
@@ -534,6 +535,11 @@ _BEAM_SAMPLE = 56
 _BEAM_BRANCH = 4
 _FINISH_AT = 44
 _POLISH_MOVES = 1600
+# Beam states ranked together, a bound on memory.  Their sampled rows take
+# _RANK_CHUNK * _BEAM_SAMPLE * n/8 bytes (448 KB at n = 2000).  Ranking a whole
+# level of 224 states at once holds about 3 MB per array, and the bench's
+# bounds-large peak RSS read 98.5 and 114.6 MB with it against 92.1-92.8 MB.
+_RANK_CHUNK = 32
 
 
 def _pool_rows(packed: np.ndarray, pool: int) -> tuple[np.ndarray, list[int]]:
@@ -560,12 +566,19 @@ def _beam_with_exact_finish(
 ) -> tuple[int, int]:
     """One beam descent; pools at or below ``_FINISH_AT`` vertices are solved exactly.
 
-    ``packed`` is ``Graph.packed``.  A deeper pool's members are listed from
-    its unpacked bytes in ascending order, and ``rng.sample`` draws positions
-    in ``range(count)``: it reads only the length and indexes, so it makes the
-    same draws and picks the same vertices as it would from a list of the
-    members.  Candidates rank by (pool degree, vertex), as a key sort of that
-    list would.  The exact finisher runs on the pool's rows relabelled by
+    ``packed`` is ``Graph.packed``.  The deeper pools of a level are ranked
+    ``_RANK_CHUNK`` at a time: one ``np.flatnonzero`` lists every pool's
+    members in ascending order, one gather takes the sampled members' rows,
+    and their pool degrees come from one AND and popcount.  The draws are
+    those of a beam that lists each pool as a list: ``rng.sample`` draws
+    positions in ``range(count)``, pool by pool in state order, and it reads
+    only the length and indexes, so it makes the same draws and picks the same
+    vertices as it would from a list of the members.  The ranking draws
+    nothing.  One argsort on (state, pool degree, vertex), keyed as
+    (state * n + degree) * n + vertex, orders each pool's candidates by
+    (degree, vertex), as a key sort of its list would, and the keys are
+    distinct, so the order does not depend on the sort's stability.  The
+    exact finisher runs on the pool's rows relabelled by
     ``_pool_rows``, which keeps the vertex order, so its branch vertices,
     clique covers and node counts are those of the global rows.  It is seeded
     with the incumbent so dominated pools prune immediately, and runs only
@@ -578,6 +591,7 @@ def _beam_with_exact_finish(
     full = (1 << n) - 1
     beam: list[tuple[int, int, int]] = [(full, 0, 0)]
     best_size, best_mask = incumbent, 0
+    rows_buf = np.empty((_RANK_CHUNK * _BEAM_SAMPLE, packed.shape[1]), dtype=np.uint8)
     while beam:
         deeper = []
         for pool, smask, size in beam:
@@ -595,17 +609,32 @@ def _beam_with_exact_finish(
             else:
                 deeper.append((pool, smask, size))
         children: dict[int, tuple[int, int, int]] = {}
-        for pool, smask, size in deeper:
-            pool_bytes = _packed((pool,), n)[0]
-            cand = np.flatnonzero(_unpacked(pool_bytes, n))
-            if cand.size > _BEAM_SAMPLE:
-                cand = cand[rng.sample(range(cand.size), _BEAM_SAMPLE)]
-            deg = np.bitwise_count(packed[cand] & pool_bytes).sum(axis=1)
-            for v in cand[np.lexsort((cand, deg))[:_BEAM_BRANCH]].tolist():
-                ns = smask | (1 << v)
-                if ns in children:
-                    continue
-                children[ns] = (pool & ~adj[v] & ~(1 << v), ns, size + 1)
+        for lo in range(0, len(deeper), _RANK_CHUNK):
+            chunk = deeper[lo:lo + _RANK_CHUNK]
+            pools = _packed([pool for pool, _, _ in chunk], n)
+            listed = np.flatnonzero(_unpacked(pools, n).view(bool))
+            picks: list[int] = []  # positions in listed, pool by pool
+            starts = []  # where each pool's picks begin
+            first = 0  # where the pool's members begin in listed
+            for pool, _, _ in chunk:
+                count = pool.bit_count()
+                starts.append(len(picks))
+                if count > _BEAM_SAMPLE:
+                    picks += [first + i for i in rng.sample(range(count), _BEAM_SAMPLE)]
+                else:
+                    picks += range(first, first + count)
+                first += count
+            owner, cand = np.divmod(listed[picks], n)
+            rows = np.take(packed, cand, axis=0, out=rows_buf[:cand.size])
+            rows &= pools[owner]
+            deg = np.bitwise_count(rows, out=rows).sum(axis=1, dtype=np.int64)
+            order = cand[np.argsort((owner * n + deg) * n + cand)].tolist()
+            for start, (pool, smask, size) in zip(starts, chunk):
+                for v in order[start:start + _BEAM_BRANCH]:
+                    ns = smask | (1 << v)
+                    if ns in children:
+                        continue
+                    children[ns] = (pool & ~adj[v] & ~(1 << v), ns, size + 1)
         ranked = sorted(
             children.items(), key=lambda kv: (-kv[1][0].bit_count(), rng.random())
         )
@@ -614,48 +643,62 @@ def _beam_with_exact_finish(
 
 
 def _swap_polish(
-    adj: Sequence[int], n: int, packed: np.ndarray, smask: int, rng: random.Random, moves: int
+    adj: Sequence[int], n: int, smask: int, rng: random.Random, moves: int
 ) -> tuple[int, int]:
     """Plateau walk with (1,1)-swaps and free-vertex insertions on an independent set.
 
-    ``packed`` is ``Graph.packed``.  ``cnt[v]`` counts the neighbors of v in
-    the set and moves by one unpacked row per insertion or removal.  The walk
-    draws exactly as a walk over Python lists would: ``np.flatnonzero`` lists
-    free and tight vertices in ascending order, and ``.tolist()`` hands
-    ``rng.choice`` a list of Python ints, so it picks the same vertex with the
-    same draw (and ``1 << v`` cannot overflow a numpy integer).
+    Each vertex's count of neighbors in the set is kept bit-sliced: bit v of
+    ``planes[j]`` is bit j of v's count.  An insertion adds the vertex's row
+    to the counts by a ripple carry through the planes, a removal subtracts
+    it by a ripple borrow, and each stops at the first plane with nothing left
+    to carry.  So the free vertices (count 0) are those outside the set and
+    outside every plane, and the tight ones (count 1) those in plane 0 and in
+    no higher plane.  ``iter_bits`` lists them in ascending order, so
+    ``rng.choice`` gets the same list of Python ints as a walk over a count
+    list would, and picks the same vertex with the same draw.
     """
+    full = (1 << n) - 1
+    planes = [0]
+
+    def adjust(row: int, borrow: bool) -> None:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ row
+            row &= ~plane if borrow else plane
+            if not row:
+                return
+        planes.append(row)
+
     s = smask
-    inside = _selector(s, n)
-    cnt = _column_sums(packed, inside)
+    for v in iter_bits(s):
+        adjust(adj[v], False)
 
     def add(v: int) -> None:
-        nonlocal s, cnt
+        nonlocal s
         s |= 1 << v
-        inside[v] = True
-        cnt += _unpacked(packed[v], n)
+        adjust(adj[v], False)
 
     def remove(v: int) -> None:
-        nonlocal s, cnt
+        nonlocal s
         s &= ~(1 << v)
-        inside[v] = False
-        cnt -= _unpacked(packed[v], n)
+        adjust(adj[v], True)
 
     best_mask, best_size = s, s.bit_count()
     stale = 0
     for _ in range(moves):
-        outside = ~inside
-        frees = np.flatnonzero((cnt == 0) & outside)
-        if frees.size:
-            add(rng.choice(frees.tolist()))
+        low, high = planes[0], 0
+        for plane in planes[1:]:
+            high |= plane
+        frees = full & ~(s | low | high)
+        if frees:
+            add(rng.choice(list(iter_bits(frees))))
             if s.bit_count() > best_size:
                 best_size, best_mask = s.bit_count(), s
                 stale = 0
             continue
-        tights = np.flatnonzero((cnt == 1) & outside)
-        if not tights.size:
+        tights = low & ~(high | s)
+        if not tights:
             break
-        v = rng.choice(tights.tolist())
+        v = rng.choice(list(iter_bits(tights)))
         u = ((adj[v] & s) & -(adj[v] & s)).bit_length() - 1
         remove(u)
         add(v)
@@ -691,7 +734,7 @@ def independent_set_search(g: Graph, seed: int, rounds: int = 5) -> VertexSet:
         size, mask = _beam_with_exact_finish(adj, n, g.packed, rng, best_size)
         if size > best_size:
             best_size, best_mask = size, mask
-        size2, mask2 = _swap_polish(adj, n, g.packed, mask or best_mask, rng, _POLISH_MOVES)
+        size2, mask2 = _swap_polish(adj, n, mask or best_mask, rng, _POLISH_MOVES)
         if size2 > best_size:
             best_size, best_mask = size2, mask2
     # Ensure maximality before returning.

@@ -18,6 +18,7 @@ from bipart.graphs import (
     _BEAM_SAMPLE,
     _BEAM_WIDTH,
     _FINISH_AT,
+    _RANK_CHUNK,
     Graph,
     _alpha_branch_and_bound,
     iter_bits,
@@ -517,10 +518,12 @@ def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counte
 
     Returns the same (size, mask) and consumes the same ``rng`` draws.  When
     ``hits`` is given, it counts the branches taken: "insert" (a free vertex
-    added), "swap", "no-tight" (the walk stops) and "kick" (a stale plateau).
+    added), "swap", "no-tight" (the walk stops) and "kick" (a stale plateau),
+    and "max-count" keeps the largest neighbour count any vertex reached.
     """
     hits = Counter() if hits is None else hits
     cnt = [(adj[v] & smask).bit_count() for v in range(n)]
+    hits["max-count"] = max(hits["max-count"], *cnt)
     s = smask
 
     def add(v: int) -> None:
@@ -528,6 +531,7 @@ def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counte
         s |= 1 << v
         for u in iter_bits(adj[v]):
             cnt[u] += 1
+            hits["max-count"] = max(hits["max-count"], cnt[u])
 
     def remove(v: int) -> None:
         nonlocal s
@@ -565,28 +569,42 @@ def swap_polish_reference(adj, n: int, smask: int, rng, moves: int, hits: Counte
     return best_size, best_mask
 
 
-def beam_reference(adj, n: int, rng, incumbent: int) -> tuple[int, int]:
+def beam_reference(adj, n: int, rng, incumbent: int, hits: Counter | None = None) -> tuple[int, int]:
     """Reference for ``bipart.graphs._beam_with_exact_finish``: the list-based beam.
 
     Lists each pool with ``iter_bits``, samples and key-sorts the list, and runs
     the exact finisher on the global rows.  Returns the same (size, mask) and
-    consumes the same ``rng`` draws.
+    consumes the same ``rng`` draws.  When ``hits`` is given, it counts the
+    branches taken: "finish" (a pool solved exactly), "whole" (a pool listed
+    whole), "sample-set" and "sample-list" (a pool sampled above 277 members,
+    where ``random.sample`` picks into a set, or at or below, where it draws
+    from a list copy), and "wide-level" (a level with more pools to rank than
+    the library ranks at once).
     """
+    hits = Counter() if hits is None else hits
     beam = [((1 << n) - 1, 0, 0)]
     best_size, best_mask = incumbent, 0
     while beam:
         deeper = []
         for pool, smask, size in beam:
             if pool.bit_count() <= _FINISH_AT:
+                hits["finish"] += 1
                 got, gmask, _, _ = _alpha_branch_and_bound(adj, pool, 250_000, (best_size - size, 0))
                 if size + got > best_size:
                     best_size, best_mask = size + got, smask | gmask
             else:
                 deeper.append((pool, smask, size))
+        if len(deeper) > _RANK_CHUNK:
+            hits["wide-level"] += 1
         children = {}
         for pool, smask, size in deeper:
             bits = list(iter_bits(pool))
-            cand = bits if len(bits) <= _BEAM_SAMPLE else rng.sample(bits, _BEAM_SAMPLE)
+            if len(bits) <= _BEAM_SAMPLE:
+                hits["whole"] += 1
+                cand = bits
+            else:
+                hits["sample-set" if len(bits) > 277 else "sample-list"] += 1
+                cand = rng.sample(bits, _BEAM_SAMPLE)
             cand.sort(key=lambda v: ((adj[v] & pool).bit_count(), v))
             for v in cand[:_BEAM_BRANCH]:
                 ns = smask | (1 << v)

@@ -342,13 +342,15 @@ class TestIndependence:
 
     def test_beam_matches_list_reference(self):
         """Same (size, mask) and the same Random state after the call as the list beam."""
+        hits = Counter()
         for n, p, seed in self.BEAM_GRAPHS:
             g = sample_gnp(GnpSpec(n, p, seed))
             incumbent = 3 * (seed % 2)
             ref_rng, rng = random.Random(seed), random.Random(seed)
-            expected = beam_reference(g.adj, n, ref_rng, incumbent)
+            expected = beam_reference(g.adj, n, ref_rng, incumbent, hits)
             assert _beam_with_exact_finish(g.adj, n, g.packed, rng, incumbent) == expected, (n, p, seed)
             assert rng.getstate() == ref_rng.getstate(), (n, p, seed)
+        assert {"finish", "whole", "sample-set", "sample-list", "wide-level"} <= set(hits), hits
 
     @pytest.mark.parametrize("members", [
         [], [17], [200, 201, 202], [3, 8, 9, 15, 16, 200, 202],
@@ -400,17 +402,18 @@ class TestIndependence:
         hits = Counter()
         for n, p, seed in self.POLISH_GRAPHS:
             g = sample_gnp(GnpSpec(n, p, seed))
-            packed = _packed(g.adj, n)
             greedy = independent_set_greedy(g, seed).mask
             _, beam = _beam_with_exact_finish(g.adj, n, g.packed, random.Random(seed), 0)
             for start in (greedy, beam):
                 for moves in (0, 1, 40, 1600):
                     ref_rng, rng = random.Random(seed + moves), random.Random(seed + moves)
                     expected = swap_polish_reference(g.adj, n, start, ref_rng, moves, hits)
-                    got = _swap_polish(g.adj, n, packed, start, rng, moves)
+                    got = _swap_polish(g.adj, n, start, rng, moves)
                     assert got == expected, (n, p, seed, moves)
                     assert rng.getstate() == ref_rng.getstate(), (n, p, seed, moves)
         assert {"insert", "swap", "no-tight", "kick"} <= set(hits), hits
+        # A count of 8 takes a fourth bit plane, so carries and borrows reach it.
+        assert hits["max-count"] >= 8, hits
 
 
 class TestExceeds:
