@@ -51,6 +51,11 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _too_large(n: int) -> str:
+    """The message for a MemoryError from sampling: the packed matrix needs n * ceil(n/8) bytes."""
+    return f"n = {n} is too large: its graph needs {n * ((n + 7) // 8)} bytes of memory"
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -68,6 +73,8 @@ def gen(n: int, p: float, seed: int, out: str) -> None:
         g = sample_gnp(GnpSpec(n, p, seed))
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except MemoryError:
+        raise click.UsageError(_too_large(n))
     try:
         write_edge_list(g, out)
     except OSError as exc:
@@ -197,9 +204,12 @@ def coverage(graph_path: str, family_path: str, op: str, mode: str, seed: int,
 def experiment(config_path: str, out_dir: str) -> None:
     """Run a seeded experiment and write JSON and CSV reports."""
     try:  # a config its runner refuses is a bad config too
-        report = run_experiment(ExperimentConfig.from_dict(_load_json(config_path)))
+        cfg = ExperimentConfig.from_dict(_load_json(config_path))
+        report = run_experiment(cfg)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad config: {exc}")
+    except MemoryError:
+        raise click.UsageError(f"bad config: {_too_large(cfg.n)}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

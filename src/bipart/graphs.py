@@ -10,10 +10,12 @@ independence check), ``_alpha_branch_and_bound`` (the one exact
 independent-set search) and ``_exceeds`` (decision only: can a pool beat a
 given size, asked of the beam finisher's pools before the exact search),
 ``_strip`` (removes a biclique's cross edges, for the coverage game and the
-exact partition search), and ``_packed``,
-``_unpacked`` and ``_transposed``, the only code that knows the packed bit
-format (the sampler, the symmetry check and partition validation share
-``_transposed``).  ``Graph`` keeps its rows packed as ``Graph.packed``, read by
+exact partition search), and ``_packed``, ``_unpacked``, ``_mask_at`` (the
+inverse of ``_selector``) and ``_transposed``, the only code that knows the
+packed bit format.  ``_transposed`` mirrors the sampler's upper triangle and
+serves the symmetry check of ``Graph(n, adj)`` and partition validation; the
+sampler's own matrix is symmetric by construction and is not checked again.
+``Graph`` keeps its rows packed as ``Graph.packed``, read by
 ``independent_set_search`` (the beam's pool listing and ranking, a chunk of
 beam states at a time, and the exact finisher's pool rows, relabelled to local
 bits by ``_pool_rows``; the swap polish keeps its counts in bit planes of
@@ -31,13 +33,16 @@ double the same way.  Python documents that ``Random.random()`` reproduces
 the same sequence for the same seed across versions and platforms, and NEP
 19 freezes the legacy ``RandomState`` stream, so a :class:`GnpSpec` pins the
 sampled graph bit for bit.  Each thread keeps its own generator, so
-``sample_gnp`` is safe to call from any thread.
+``sample_gnp`` is safe to call from any thread.  ``_sample_range`` replays
+CPython's ``Random.sample`` over ``range(count)`` from batched 32-bit words of
+the same stream, for the beam's and the density check's draws.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -159,6 +164,13 @@ def _selector(mask: int, n: int) -> np.ndarray:
     return _unpacked(_packed((mask,), n)[0], n).view(bool)
 
 
+def _mask_at(positions: Sequence[int], n: int) -> int:
+    """The mask with bits at ``positions`` (each in 0..n-1): the inverse of ``_selector``."""
+    inside = np.zeros(n, dtype=bool)
+    inside[positions] = True
+    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+
+
 def _column_sums(packed: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """int32 column sums of the selected rows of a packed (n, ceil(n/8)) matrix.
 
@@ -272,6 +284,25 @@ class Graph:
         object.__setattr__(self, "vertex_mask", full)
         object.__setattr__(self, "packed", packed)
 
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray) -> "Graph":
+        """The graph whose rows are the packed (n, ceil(n/8)) matrix ``packed``,
+        which the caller built symmetric with an empty diagonal and zero padding.
+
+        Nothing is checked: outside input goes through ``Graph(n, adj)``.  The
+        fields are set in ``__init__``'s order, so the instance keeps the same
+        attribute layout, and ``packed`` is kept, made read-only.
+        """
+        n, nbytes = packed.shape
+        buf = packed.tobytes()
+        adj = tuple(int.from_bytes(buf[v * nbytes:(v + 1) * nbytes], "little") for v in range(n))
+        packed.flags.writeable = False
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("adj", adj), ("m", sum(row.bit_count() for row in adj) // 2),
+                            ("vertex_mask", (1 << n) - 1), ("packed", packed)):
+            object.__setattr__(g, name, value)
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.adj[u] >> v) & 1 == 1
 
@@ -350,7 +381,8 @@ def sample_gnp(spec: GnpSpec) -> Graph:
     stream (read through numpy, as the module docstring says), so the edge
     set is a pure function of the GnpSpec fields.  Deviates are drawn 64 rows
     at a time into the upper triangle, whose transpose is then ORed in, so no
-    n x n matrix is built.
+    n x n matrix is built.  That matrix is symmetric with an empty diagonal by
+    construction, so it becomes the graph without ``Graph``'s checks.
     """
     n, p, seed = spec.n, spec.p, spec.seed
     rs = getattr(_generators, "rs", None)
@@ -368,8 +400,58 @@ def sample_gnp(spec: GnpSpec) -> Graph:
         block[upper] = rs.random_sample(np.count_nonzero(upper)) < p
         packed[lo:lo + _ROW_BLOCK] = np.packbits(block, axis=1, bitorder="little")
     packed |= _transposed(packed)
-    buf = packed.tobytes()
-    return Graph(n, tuple(int.from_bytes(buf[v * nbytes:(v + 1) * nbytes], "little") for v in range(n)))
+    return Graph._from_packed(packed)
+
+
+def _words(rng: random.Random, count: int) -> tuple[int, ...]:
+    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister, in order.
+
+    ``getrandbits(32 * count)`` draws exactly ``count`` words and puts the
+    first one drawn in the lowest 32 bits, on either byte order.
+    """
+    return struct.unpack(f"<{count}I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
+
+
+def _sample_range(rng: random.Random, count: int, k: int) -> list[int]:
+    """``rng.sample(range(count), k)``: the same list, and ``rng`` left in the same state.
+
+    CPython's ``sample`` draws each position by ``_randbelow(m)``, which for
+    m below 2**32 (count is a vertex count here) takes the top
+    ``m.bit_length()`` bits of one word and draws again while the value is
+    at least m.  A population no larger than a k-entry set's table
+    is shuffled as a list (a partial Fisher-Yates shuffle, m = count - i for
+    the i-th pick); a larger one draws below count into a set, drawing again
+    on a repeat.  This replays both over words batched by ``_words``, one
+    word per pick still wanted, so it never draws a word that ``sample``
+    would not.  ``tests/test_graphs.py`` pins it to the running interpreter's
+    ``sample``, whose draws Python does not promise across versions.
+    """
+    if not 0 <= k <= count:
+        raise ValueError("sample larger than population or is negative")
+    setsize = 21  # sample's own choice, with its float log
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out: list[int] = []
+    if count <= setsize:
+        pool = list(range(count))
+        left = count  # the positions not yet picked are pool[:left]
+        while left > count - k:
+            for w in _words(rng, left - (count - k)):
+                j = w >> (32 - left.bit_length())
+                if j < left:
+                    left -= 1
+                    out.append(pool[j])
+                    pool[j] = pool[left]
+    else:
+        shift = 32 - count.bit_length()
+        seen: set[int] = set()
+        while len(out) < k:
+            for w in _words(rng, k - len(out)):
+                j = w >> shift
+                if j < count and j not in seen:
+                    seen.add(j)
+                    out.append(j)
+    return out
 
 
 def induced_subgraph(
@@ -570,10 +652,11 @@ def _beam_with_exact_finish(
     ``_RANK_CHUNK`` at a time: one ``np.flatnonzero`` lists every pool's
     members in ascending order, one gather takes the sampled members' rows,
     and their pool degrees come from one AND and popcount.  The draws are
-    those of a beam that lists each pool as a list: ``rng.sample`` draws
-    positions in ``range(count)``, pool by pool in state order, and it reads
-    only the length and indexes, so it makes the same draws and picks the same
-    vertices as it would from a list of the members.  The ranking draws
+    those of a beam that lists each pool as a list: ``_sample_range`` draws
+    positions in ``range(count)``, pool by pool in state order, as
+    ``rng.sample`` would; ``sample`` reads only a population's length and
+    indexes, so it makes the same draws and picks the same vertices from a
+    list of the members.  The ranking draws
     nothing.  One argsort on (state, pool degree, vertex), keyed as
     (state * n + degree) * n + vertex, orders each pool's candidates by
     (degree, vertex), as a key sort of its list would, and the keys are
@@ -620,7 +703,7 @@ def _beam_with_exact_finish(
                 count = pool.bit_count()
                 starts.append(len(picks))
                 if count > _BEAM_SAMPLE:
-                    picks += [first + i for i in rng.sample(range(count), _BEAM_SAMPLE)]
+                    picks += [first + i for i in _sample_range(rng, count, _BEAM_SAMPLE)]
                 else:
                     picks += range(first, first + count)
                 first += count

@@ -35,6 +35,9 @@ from .coverage import (
 from .graphs import (
     GnpSpec,
     Graph,
+    VertexSet,
+    _mask_at,
+    _sample_range,
     density_deviation,
     independence_number_exact,
     independent_set_search,
@@ -286,7 +289,9 @@ def run_density_check(cfg: ExperimentConfig) -> Report:
 
     Subset sizes range from around sqrt(ln n) up to n.  The configured
     ceiling is a calibrated empirical constant; exceeding it counts as a
-    violation.
+    violation.  Each subset is ``rng.sample(range(n), size)``, drawn by
+    ``_sample_range``, which replays ``sample`` from batched words, and its
+    mask is packed in one numpy pass by ``_mask_at``.
     """
     if cfg.n < 16:
         raise ValueError("density check needs n >= 16")
@@ -297,7 +302,7 @@ def run_density_check(cfg: ExperimentConfig) -> Report:
         worst = 0.0
         for _ in range(cfg.density_subsets):
             size = rng.randint(smin, cfg.n)
-            subset = rng.sample(range(cfg.n), size)
+            subset = VertexSet(_mask_at(_sample_range(rng, cfg.n, size), cfg.n), cfg.n)
             worst = max(worst, density_deviation(g, subset, cfg.p))
         rec.density_max_c = worst
         if worst >= cfg.density_ceiling:

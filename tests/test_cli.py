@@ -42,6 +42,13 @@ class TestGen:
         assert result.exit_code == 2
         assert "cannot write graph" in result.output and str(out) in result.output
 
+    def test_graph_too_large_for_memory_is_usage_error(self, runner, tmp_path):
+        # The 1.1 PiB packed matrix is refused at allocation, so nothing is sampled.
+        out = tmp_path / "g.txt"
+        result = runner.invoke(main, ["gen", "--n", "100000000", "--p", "0.5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "n = 100000000 is too large" in result.output and not out.exists()
+
 
 class TestBounds:
     def test_signature_json(self, runner, tmp_path):
@@ -296,6 +303,14 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert "bad config" in result.output
+
+    @pytest.mark.parametrize("kind", ["density", "bounds"])
+    def test_graph_too_large_for_memory_is_usage_error(self, runner, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": kind, "n": 10**8, "trials": 1}))
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "bad config: n = 100000000 is too large" in result.output
 
     @pytest.mark.parametrize("where", ["out-under-a-file", "report-path-is-a-directory"])
     def test_unwritable_out_is_usage_error(self, runner, tmp_path, where):

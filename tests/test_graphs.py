@@ -31,8 +31,11 @@ from bipart.graphs import (
     _alpha_branch_and_bound,
     _beam_with_exact_finish,
     _exceeds,
+    _mask_at,
     _packed,
     _pool_rows,
+    _sample_range,
+    _selector,
     _swap_polish,
     _transposed,
 )
@@ -140,6 +143,14 @@ class TestGraphBasics:
         got = _transposed(_packed(rows, n))
         assert got.shape == (n, (n + 7) // 8) and np.array_equal(got, _packed(cols, n))
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 130])
+    def test_mask_at_inverts_selector(self, n):
+        rng = random.Random(n)
+        positions = rng.sample(range(n), rng.randint(0, n))
+        mask = _mask_at(positions, n)
+        assert mask == mask_of(positions)
+        assert np.flatnonzero(_selector(mask, n)).tolist() == sorted(positions)
+
     def test_edge_count(self):
         assert Graph.complete(5).m == 10
         assert Graph.complete_bipartite(2, 3).m == 6
@@ -186,6 +197,17 @@ class TestSampleGnp:
     def test_determinism(self, n, seed, p):
         assert sample_gnp(GnpSpec(n, p, seed)).adj == gnp_rows_reference(n, p, seed)
 
+    # sample_gnp builds its graph without Graph's checks; the checked path must agree.
+    @pytest.mark.parametrize("p", [0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 64, 65, 300])
+    def test_sampled_graph_matches_checked_constructor(self, n, p):
+        g = sample_gnp(GnpSpec(n, p, 31 + n))
+        h = Graph(g.n, g.adj)
+        assert g == h and (g.m, g.vertex_mask) == (h.m, h.vertex_mask)
+        assert g.packed.shape == h.packed.shape and g.packed.tobytes() == h.packed.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            g.packed[...] = 0
+
     def test_threads_match_serial(self):
         # Two threads sample interleaved seeds at once; each graph must equal its
         # serial draw, which a generator shared between threads would not give.
@@ -201,6 +223,28 @@ class TestSampleGnp:
             halves = [pool.submit(run, range(k, len(specs), 2)) for k in (0, 1)]
             got = {**halves[0].result(), **halves[1].result()}
         assert [got[i] for i in range(len(specs))] == serial
+
+
+# Both of sample's methods and the edges between them: the list method is taken
+# while count <= 21 + 4 ** ceil(log4(3k)) for k > 5 (count <= 21 for k <= 5), so
+# 277 / 278 at k = 56 and 341 / 342 at count 2000 sit on either side of an edge.
+SAMPLE_COUNTS = [1, 2, 56, 57, 255, 256, 257, 277, 278, 511, 512, 1000, 2000]
+SAMPLE_KS = [0, 1, 5, 6, 56, 341, 342]
+
+
+class TestSampleRange:
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    def test_replays_random_sample(self, count):
+        for k in [k for k in SAMPLE_KS if k < count] + [count]:
+            for seed in range(300):
+                got, expected = random.Random(seed), random.Random(seed)
+                assert _sample_range(got, count, k) == expected.sample(range(count), k), (k, seed)
+                assert got.random() == expected.random(), (k, seed)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_rejects_k_outside_the_range(self, k):
+        with pytest.raises(ValueError):
+            _sample_range(random.Random(5), 3, k)
 
 
 class TestInducedSubgraph:
