@@ -523,8 +523,8 @@ def classify_family(fam: CoverageFamily, epsilon: float, base: float) -> FamilyS
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if base <= 1:
-        raise ValueError("logarithm base must exceed 1")
+    if not 1 < base < math.inf:  # also refuses nan
+        raise ValueError("logarithm base must be finite and exceed 1")
     u = len(fam.universe)
     if u < 3:
         raise ValueError("universe too small to classify (need at least 3 vertices)")
@@ -580,8 +580,8 @@ def peel_witness(
     ``degree_bound`` is given, every w-vertex must have strictly fewer
     incident family sets than the bound.
     """
-    if base <= 1:
-        raise ValueError("logarithm base must exceed 1")
+    if not 1 < base < math.inf:  # also refuses nan
+        raise ValueError("logarithm base must be finite and exceed 1")
     u = len(fam.universe)
     if u < 2:
         raise ValueError("universe too small to peel")
@@ -679,8 +679,8 @@ def uncovered_lower_bound(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if base <= 1:
-        raise ValueError("logarithm base must exceed 1")
+    if not 1 < base < math.inf:  # also refuses nan
+        raise ValueError("logarithm base must be finite and exceed 1")
     u_mask = mask_of(universe)
     if u_mask >> g.n:
         raise ValueError("universe leaves the graph")

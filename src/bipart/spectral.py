@@ -15,11 +15,11 @@ about 40 % below one full solve.  From there on
 a half-size ``eigvalsh`` of a Schur complement for one sign, and for the
 other only while the first count is below n/2, as n+ + n- <= n; its guard
 hands the graph back to the whole-matrix solve when rounding could flip a
-count or a solver fails to converge.  The search makes the other call:
-``partition._update_bounds`` decomposes a node's matrix once
-(``numpy.linalg.eigh``) and reads the inertia of its children from that.
-The children it cannot read, and small blocks, go to ``_gp_bounds``.  A
-``Graph`` is read from ``Graph.packed``.
+count or a solver fails to converge.  The exact search bounds its sibling
+blocks through ``_child_bounds``: ``_update_bounds`` decomposes a node's
+matrix once (``numpy.linalg.eigh``) and reads its children's inertia from
+that; the children it cannot read, and small blocks, go to ``_gp_bounds``.
+A ``Graph`` is read from ``Graph.packed``.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ def _matrix(packed: np.ndarray, n: int) -> np.ndarray:
     return _unpacked(packed, n).astype(np.float64)
 
 
-def _eigenvalues(matrices: np.ndarray, n: int) -> np.ndarray:
-    """Ascending eigenvalues of each symmetric n x n float64 matrix of a stack,
-    along the last axis."""
+def _eigenvalues(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, along the last axis, of each symmetric float64 matrix of a stack."""
     try:
         return np.linalg.eigvalsh(matrices)
     except np.linalg.LinAlgError as exc:
@@ -86,11 +85,11 @@ def _gp_bounds(matrices: np.ndarray) -> list[int]:
     tolerance, from one eigen-solve.
 
     The counts of :func:`inertia_from_rows` without the signature, for the
-    whole-graph bound and for the nodes of the exact partition search that
-    its rank-2 update does not bound.
+    whole-graph bound and for the children of the exact partition search
+    that ``_update_bounds`` does not read.
     """
     n = matrices.shape[-1]
-    eigenvalues = _eigenvalues(matrices, n)
+    eigenvalues = _eigenvalues(matrices)
     tol = default_tolerance(n)
     n_plus = np.count_nonzero(eigenvalues > tol, axis=-1)
     n_minus = np.count_nonzero(eigenvalues < -tol, axis=-1)
@@ -103,7 +102,7 @@ def _signature(packed: np.ndarray, n: int, tol: float | None) -> InertiaSignatur
         tol = default_tolerance(n)
     if not 0 < tol < np.inf:  # also refuses nan
         raise ValueError("tolerance must be finite and positive")
-    eigenvalues = _eigenvalues(_matrix(packed, n), n)
+    eigenvalues = _eigenvalues(_matrix(packed, n))
     n_plus = int(np.count_nonzero(eigenvalues > tol))
     n_minus = int(np.count_nonzero(eigenvalues < -tol))
     n_zero = n - n_plus - n_minus
@@ -211,3 +210,111 @@ def graham_pollak_lower_bound(g: Graph) -> int:
         if bound is not None:
             return bound
     return _gp_bounds(_matrix(g.packed, g.n)[None])[0]
+
+
+# Blocks of fewer children skip _update_bounds.  Its fixed cost, one
+# eigendecomposition and about forty small numpy calls, meets the direct
+# solve's per-child cost at about ten children (over the 1,195 blocks of one
+# exact-small bench pass, 2-core x86-64, numpy 2.4 on one OpenBLAS thread).
+_UPDATE_MIN = 10
+
+# In _update_bounds a quantity of magnitude at most _ZERO counts as zero.  A
+# child with a 2 x 2 eigenvalue or d^T T d in (_ZERO, _CHILD_CLEAR], and every
+# child of a parent with an eigenvalue in (_ZERO, _PARENT_CLEAR], is too near
+# a sign change to read and is left to the direct eigen-solve.
+_ZERO = 1e-9
+_CHILD_CLEAR = 1e-6
+_PARENT_CLEAR = 1e-4
+
+
+def _pair_eigenvalues(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper eigenvalues of the symmetric 2 x 2 matrices whose
+    entries (xx, xy, yy) are the rows of ``entries``."""
+    xx, xy, yy = entries
+    mean = (xx + yy) / 2
+    radius = np.hypot((xx - yy) / 2, xy)
+    return mean - radius, mean + radius
+
+
+def _update_bounds(
+    parent: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """max(n+, n-) of each child M - u v^T - v u^T of the parent matrix M, one
+    child per row of ``u`` and ``v``, from one eigendecomposition of M; and
+    the mask of the children it leaves to the direct eigen-solve.
+
+    With W = [u v] and S = [[0, 1], [1, 0]], the child C = M - W S W^T is the
+    Schur complement of S (its own inverse) in K = [[M, W], [W^T, S]], so
+    n+-(C) = n+-(K) - 1 by Haynsworth's inertia additivity (Haynsworth
+    1968).  With M = Q L Q^T, split Q^T W into its rows W1 on the nonzero
+    eigenvalues L1 and W0 on the null space; then n+-(K) = n+-(M) + n+-(R)
+    with R = [[0, W0], [W0^T, T]] and T = S - W1^T L1^-1 W1, and
+
+    - rank W0 = 2: n+-(R) = 2;
+    - rank W0 = 1: n+-(R) = 1 + [+-d^T T d > 0], d a unit vector of ker W0;
+    - rank W0 = 0: n+-(R) = n+-(T).
+
+    The rank is read from the eigenvalues of W0^T W0.  Every child is left
+    to the direct solve when M has an eigenvalue near zero, and a child when
+    one of the 2 x 2 quantities it reads is near zero (see ``_ZERO``).
+    """
+    k, n = u.shape
+    unread = np.zeros(k, np.int64), np.ones(k, bool)
+    try:
+        lam, q = np.linalg.eigh(parent)
+    except np.linalg.LinAlgError:
+        return unread
+    null = np.abs(lam) <= _ZERO
+    if np.any(~null & (np.abs(lam) <= _PARENT_CLEAR)):
+        return unread
+    wu, wv = u @ q, v @ q
+    weights = np.stack((null, np.divide(1.0, lam, out=np.zeros(n), where=~null)), axis=1)
+    # Per child, the entries (uu, uv, vv) of W0^T W0 and of W1^T L1^-1 W1.
+    gram, form = (np.stack((wu * wu, wu * wv, wv * wv)) @ weights).transpose(2, 0, 1)
+    t = np.stack((-form[0], 1 - form[1], -form[2]))
+    gram_low, gram_high = _pair_eigenvalues(gram)
+    rank = (gram_low > _ZERO).astype(np.int64) + (gram_high > _ZERO)
+    t_low, t_high = _pair_eigenvalues(t)
+    # With rank 1, W0^T W0 = g e e^T, g its trace, and d = (-e_v, e_u).
+    trace = np.where(rank == 1, gram[0] + gram[2], 1.0)
+    dtd = (gram[2] * t[0] - 2 * gram[1] * t[1] + gram[0] * t[2]) / trace
+    # n+-(R) is rank W0 plus the sign counts of these two rows.
+    signs = np.stack((np.where(rank == 0, t_low, np.where(rank == 1, dtd, 0.0)),
+                      np.where(rank == 0, t_high, 0.0)))
+    read = np.abs(np.concatenate((signs, [gram_low, gram_high])))
+    unsure = np.any((read > _ZERO) & (read <= _CHILD_CLEAR), axis=0)
+    n_plus = np.count_nonzero(lam > _ZERO) + rank - 1 + np.count_nonzero(signs > _ZERO, axis=0)
+    n_minus = np.count_nonzero(lam < -_ZERO) + rank - 1 + np.count_nonzero(signs < -_ZERO, axis=0)
+    return np.maximum(n_plus, n_minus), unsure
+
+
+def _direct_bounds(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """max(n+, n-) of each child M - u v^T - v u^T of the parent matrix M, one
+    child per row of ``u`` and ``v``, from one stacked eigen-solve of the
+    children's matrices."""
+    cross = u[:, :, None] * v[:, None, :]
+    return _gp_bounds(parent - cross - cross.transpose(0, 2, 1))
+
+
+def _child_bounds(rows: tuple[int, ...], n: int, sides: list[tuple[int, int]]) -> list[int]:
+    """The Graham-Pollak bound of each child that strips one (a side, b side)
+    of ``sides`` off ``rows``.
+
+    A child's matrix is the parent's less u v^T + v u^T, where u and v are
+    the 0/1 indicators of its sides.  That is exact in float64: the sides
+    are disjoint and every cross pair is an edge of ``rows``, so each
+    subtracted 1 meets a 1.  A block of ``_UPDATE_MIN`` or more children is
+    bounded from one eigendecomposition of the parent (``_update_bounds``);
+    a smaller block, and the children the update leaves, by the eigen-solve
+    of their own matrices (``_direct_bounds``).
+    """
+    k = len(sides)
+    a_sides, b_sides = zip(*sides)
+    stacked = _matrix(_packed((*rows, *a_sides, *b_sides), n), n)
+    parent, u, v = stacked[:n], stacked[n:n + k], stacked[n + k:]
+    if k < _UPDATE_MIN:
+        return _direct_bounds(parent, u, v)
+    bounds, unsure = _update_bounds(parent, u, v)
+    if unsure.any():
+        bounds[unsure] = _direct_bounds(parent, u[unsure], v[unsure])
+    return bounds.tolist()

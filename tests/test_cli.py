@@ -75,7 +75,7 @@ class TestBounds:
     def test_one_eigen_solve_without_tol(self, runner, tmp_path, monkeypatch, g, expected):
         calls = []
         solve = spectral._eigenvalues
-        monkeypatch.setattr(spectral, "_eigenvalues", lambda rows, n: calls.append(n) or solve(rows, n))
+        monkeypatch.setattr(spectral, "_eigenvalues", lambda m: calls.append(m.shape[-1]) or solve(m))
         path = write_graph(tmp_path / "g.txt", g)
         result = runner.invoke(main, ["bounds", "--graph", path])
         assert result.exit_code == 0
@@ -190,6 +190,19 @@ class TestCoverage:
         assert result.exit_code == 1
         assert json.loads(result.output)["failed"]
 
+    @pytest.mark.parametrize("base", ["inf", "nan"])
+    def test_witness_base_not_finite_is_usage_error(self, runner, tmp_path, base):
+        gpath = write_graph(tmp_path / "g.txt", Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(json.dumps({"universe": list(range(6)), "sets": [[0, 1], [2, 3]]}))
+        result = runner.invoke(
+            main,
+            ["coverage", "--graph", gpath, "--family", str(fpath), "--op", "witness", "--base", base],
+        )
+        assert result.exit_code == 2
+        assert "Error: logarithm base must be finite and exceed 1\n" in result.output
+        assert "Traceback" not in result.output
+
     def test_family_without_sets_is_usage_error(self, runner, star_files, tmp_path):
         gpath, _ = star_files
         fpath = tmp_path / "nosets.json"
@@ -264,12 +277,14 @@ class TestExperiment:
         [{"kind": "density", "n": 8, "trials": 1},
          {"kind": "coverage_soundness", "n": 9, "trials": 1},
          {"kind": "coverage_soundness", "n": 5, "p": 1.0, "trials": 1},
+         # 1 / p overflows to an infinite base, which certified nothing
+         {"kind": "coverage_soundness", "n": 5, "p": 1e-320, "trials": 1},
          # regime_threshold overflows a float, or is inf, which is not valid JSON
          {"kind": "bounds", "n": 100, "trials": 1, "epsilon": 1000},
          {"kind": "bounds", "n": 100, "trials": 1, "c": 1e308},
          # 1 - p rounds to 1.0, so alpha_target divides by zero
          {"kind": "bounds", "n": 100, "trials": 1, "p": 1e-20}],
-        ids=["density-n-below-16", "coverage-n-above-8", "coverage-base-one",
+        ids=["density-n-below-16", "coverage-n-above-8", "coverage-base-one", "coverage-base-infinite",
              "bounds-threshold-overflow", "bounds-threshold-infinite", "bounds-target-p-tiny"],
     )
     def test_config_refused_by_runner_is_usage_error(self, runner, tmp_path, config):

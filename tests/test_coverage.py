@@ -587,7 +587,10 @@ class TestUncoveredLowerBound:
 
     @pytest.mark.parametrize(
         "epsilon, base, match",
-        [(1.0, 1.0, "logarithm base must exceed 1"), (1.0, 0.5, "logarithm base must exceed 1"),
+        [(1.0, 1.0, "logarithm base must be finite and exceed 1"),
+         (1.0, 0.5, "logarithm base must be finite and exceed 1"),
+         (1.0, math.inf, "logarithm base must be finite and exceed 1"),
+         (1.0, math.nan, "logarithm base must be finite and exceed 1"),
          (-1.0, 2.0, "epsilon must be positive")],
     )
     def test_parameters_checked_on_two_vertex_universe(self, epsilon, base, match):

@@ -104,3 +104,29 @@ def _packed_format_calls(path: Path) -> list[str]:
 def test_packed_format_lives_in_graphs(path):
     calls = _packed_format_calls(path)
     assert bool(calls) if path.name == "graphs.py" else calls == []
+
+
+def _linalg_calls(path: Path) -> list[str]:
+    """Calls made through a ``linalg`` attribute, such as ``np.linalg.eigh(...)``,
+    and imports of a ``linalg`` module or of names from one."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found += [f"import {m} (line {node.lineno})" for m in modules if "linalg" in m.split(".")]
+        elif isinstance(node, ast.Call):
+            callee, chain = node.func, []
+            while isinstance(callee, ast.Attribute):
+                chain.append(callee.attr)
+                callee = callee.value
+            chain.append(getattr(callee, "id", "?"))
+            if "linalg" in chain[1:]:
+                found.append(f"{'.'.join(reversed(chain))} (line {node.lineno})")
+    return found
+
+
+# spectral.py owns every eigen-solve, and with it the one rule for what counts as zero.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_eigen_solves_live_in_spectral(path):
+    calls = _linalg_calls(path)
+    assert bool(calls) if path.name == "spectral.py" else calls == []

@@ -101,7 +101,7 @@ class TestBoundsWorker:
     def test_eigen_failure_reraised_and_worker_joined(self, monkeypatch):
         boom = ArithmeticError("eigenvalue computation failed to converge")
 
-        def failing_eigenvalues(rows, n):
+        def failing_eigenvalues(matrices):
             raise boom
 
         monkeypatch.setattr(spectral, "_eigenvalues", failing_eigenvalues)

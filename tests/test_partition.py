@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipart import partition as partition_module
+from bipart import spectral
 from bipart.graphs import (
     GnpSpec,
     Graph,
@@ -56,13 +57,12 @@ from oracles import (
 
 def count_bound_matrices(monkeypatch) -> list[int]:
     """Watch the search's bounds: the list gets the order of each matrix
-    bounded, the root's through graham_pollak_lower_bound and each child's
-    through _child_bounds, and every block is checked against the cap.  A
-    child that a block hands on to the direct solve (_gp_bounds) is listed
-    once more."""
+    bounded, the root's through spectral._gp_bounds (the graphs here are
+    below _SLICE_MIN) and each child's through _child_bounds, and every
+    block is checked against the cap.  A child that a block hands on to the
+    direct solve (spectral._gp_bounds) is listed once more."""
     calls: list[int] = []
-    real_root = partition_module.graham_pollak_lower_bound
-    real_solve, real_block = partition_module._gp_bounds, partition_module._child_bounds
+    real_solve, real_block = spectral._gp_bounds, partition_module._child_bounds
 
     def solve(matrices):
         calls.extend([matrices.shape[-1]] * len(matrices))
@@ -73,12 +73,7 @@ def count_bound_matrices(monkeypatch) -> list[int]:
         calls.extend([n] * len(sides))
         return real_block(rows, n, sides)
 
-    def root(g):
-        calls.append(g.n)
-        return real_root(g)
-
-    monkeypatch.setattr(partition_module, "graham_pollak_lower_bound", root)
-    monkeypatch.setattr(partition_module, "_gp_bounds", solve)
+    monkeypatch.setattr(spectral, "_gp_bounds", solve)
     monkeypatch.setattr(partition_module, "_child_bounds", block)
     return calls
 
@@ -722,13 +717,13 @@ class TestPartitionNumber:
             assert (res.value, res.status, res.nodes) == (1, EXACT, 2)
         assert calls == [16]
 
-    @given(sibling_blocks(), st.sampled_from([1, 2, partition_module._UPDATE_MIN, 17,
+    @given(sibling_blocks(), st.sampled_from([1, 2, spectral._UPDATE_MIN, 17,
                                               partition_module._BOUND_BLOCK]))
     @settings(max_examples=120, deadline=None)
     def test_block_bounds_match_one_child_at_a_time(self, case, size):
         rows, n, sides = case
         sides = sides[:size]
-        assert partition_module._child_bounds(rows, n, sides) == [
+        assert spectral._child_bounds(rows, n, sides) == [
             gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
         ]
 
@@ -740,7 +735,7 @@ class TestPartitionNumber:
         for seed in range(40):
             rows, n, sides = random_sibling_block(seed)
             ranks.update(update_rank(rows, n, a, b) for a, b in sides)
-            assert partition_module._child_bounds(rows, n, sides) == [
+            assert spectral._child_bounds(rows, n, sides) == [
                 gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
             ]
         assert ranks == {0, 1, 2}
@@ -750,15 +745,15 @@ class TestPartitionNumber:
         # No quantity of these blocks falls in a band, so each band is
         # widened until many do: a widened child band leaves some children
         # of a block to the direct solve, a widened parent band whole blocks.
-        monkeypatch.setattr(partition_module, band, 0.5)
-        real = partition_module._gp_bounds
+        monkeypatch.setattr(spectral, band, 0.5)
+        real = spectral._gp_bounds
         left: list[int] = []
-        monkeypatch.setattr(partition_module, "_gp_bounds", lambda m: left.append(len(m)) or real(m))
+        monkeypatch.setattr(spectral, "_gp_bounds", lambda m: left.append(len(m)) or real(m))
         shares = set()
         for seed in range(40):
             rows, n, sides = random_sibling_block(seed)
             left.clear()
-            assert partition_module._child_bounds(rows, n, sides) == [
+            assert spectral._child_bounds(rows, n, sides) == [
                 gp_bound_reference(_strip(rows, a, b), n) for a, b in sides
             ]
             shares.add("none" if not left else "all" if left == [len(sides)] else "some")
